@@ -34,9 +34,9 @@ from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
     UnsupportedIntersectionForm,
-    euler_characteristic,
+    _euler_and_homology,
+    _kernel_form,
     form_invariants,
-    homology,
     intersection_form,
     k_triple,
     poincare_candidate_check,
@@ -81,11 +81,12 @@ def _cmd_invariants(args) -> int:
     ks = k_triple(d)
     for name, k in zip(PAIR_NAMES, ks):
         print(f"k_{name}: {k}")
-    print(f"euler: {euler_characteristic(d)}")
-    h = homology(d)
+    chi, h = _euler_and_homology(d, ks)
+    print(f"euler: {chi}")
     for i, (rank, torsion) in enumerate(h):
         print(f"H{i}: {format_abelian(rank, torsion)}")
-    form = form_invariants(intersection_form(d))
+    # k_triple above already refused non-standard pairs, as intersection_form would
+    form = form_invariants(_kernel_form(d))
     print(f"form_rank: {form.rank}")
     print(f"form_signature: {form.signature}")
     print(f"form_parity: {form.parity}")

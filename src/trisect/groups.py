@@ -265,8 +265,8 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     cost = size**n
     if cost > cap:
         raise EnumerationRefused(cost, cap)
-    if n == 0:
-        return 1
+    if n == 0 or degree == 1:
+        return 1  # S1 is trivial: one assignment, and every relator holds
     perms = sorted(permutations(range(degree)))
     index = {perm: i for i, perm in enumerate(perms)}
     mul = [

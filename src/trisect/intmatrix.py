@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -345,43 +344,6 @@ def saturate(a: IntMatrix) -> IntMatrix:
     _, d, _, _, vinv = _smith_with_inverses(a)
     r = _rank_of_smith(d)
     return lattice_basis(IntMatrix(vinv.rows[:r], a.ncols))
-
-
-def solve_left_rational(mat: IntMatrix, vec: Sequence[int | Fraction]):
-    """One rational solution x of x @ mat = vec, or None if inconsistent.
-
-    Free variables are set to 0; pivoting is deterministic, so the returned
-    solution is a function of the input alone.
-    """
-    m, n = mat.nrows, mat.ncols
-    if len(vec) != n:
-        raise ValueError(f"vector has length {len(vec)}, expected {n}")
-    # one equation per column of mat, unknowns x_0..x_{m-1}
-    aug = [[Fraction(mat.rows[i][j]) for i in range(m)] + [Fraction(vec[j])] for j in range(n)]
-    row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m):
-        sel = next((r for r in range(row, n) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pr = [x / aug[row][col] for x in aug[row]]
-        aug[row] = pr
-        for r2 in range(n):
-            if r2 != row and aug[r2][col]:
-                f = aug[r2][col]
-                aug[r2] = [a - f * b for a, b in zip(aug[r2], pr)]
-        pivots.append((col, row))
-        row += 1
-        if row == n:
-            break
-    x = [Fraction(0)] * m
-    for col, r in pivots:
-        x[col] = aug[r][m]
-    for j in range(n):
-        if sum(x[i] * mat.rows[i][j] for i in range(m)) != vec[j]:
-            return None
-    return tuple(x)
 
 
 def symplectic_form(genus: int) -> IntMatrix:

@@ -6,18 +6,19 @@ and its congruence invariants, and a homotopy-sphere screening report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagrams import HeegaardDiagram, TrisectionDiagram, heegaard_pairs
 from .intmatrix import (
     IntMatrix,
+    _rank_of_smith,
     _smith_with_inverses,
-    lattice_intersect,
-    lattice_sum,
+    lattice_basis,
+    left_kernel,
     quotient_invariants,
-    solve_left_rational,
     stack_rows,
+    symplectic_form,
 )
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
@@ -82,85 +83,58 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     H1 is the cokernel of the three stacked curve matrices; H3 is its free
     part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    chi = euler_characteristic(d)
+    return _euler_and_homology(d, k_triple(d))[1]
+
+
+def _euler_and_homology(d: TrisectionDiagram, ks: tuple[int, int, int]):
+    """(chi, H_0..H_4) of ``d`` from its k-triple, so a caller that needs
+    all three computes the k-triple once."""
+    chi = 2 + d.genus - sum(ks)
     stacked = stack_rows(stack_rows(d.alpha.matrix(), d.beta.matrix()), d.gamma.matrix())
     b1, torsion = quotient_invariants(2 * d.genus, stacked)
     b2 = chi - 2 + 2 * b1
-    return ((1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ()))
-
-
-def _quotient_basis_lifts(numerator: IntMatrix, denominator: IntMatrix):
-    """Rows spanning a complement of the denominator inside the numerator lattice.
-
-    Returns lattice vectors lifting a basis of the free part of N/D, plus
-    the torsion divisors of that quotient.
-    """
-    n = numerator.nrows
-    if n == 0:
-        return [], ()
-    coords = []
-    for row in denominator.rows:
-        sol = solve_left_rational(numerator, row)
-        if sol is None or any(f.denominator != 1 for f in sol):
-            raise ArithmeticError("denominator lattice does not sit inside the numerator lattice")
-        coords.append([int(f) for f in sol])
-    _, dmat, _, _, vinv = _smith_with_inverses(IntMatrix(coords, n))
-    rank = sum(1 for x in dmat.diagonal() if x)
-    torsion = tuple(x for x in dmat.diagonal() if x > 1)
-    lifts = []
-    for idx in range(rank, n):
-        coeffs = vinv.rows[idx]
-        lifts.append(
-            [
-                sum(coeffs[i] * numerator.rows[i][j] for i in range(n))
-                for j in range(numerator.ncols)
-            ]
-        )
-    return lifts, torsion
+    return chi, ((1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ()))
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     """Gram matrix of the intersection pairing on a basis of H2.
 
-    H2 is modelled as (L_beta ∩ (L_alpha + L_gamma)) / ((L_beta ∩ L_alpha) +
-    (L_beta ∩ L_gamma)).  For classes x, y the pairing is the symplectic
-    product of x with the alpha-part of a rational decomposition
-    y = y_alpha + y_gamma.  Supported only when H1 is torsion-free.
+    Refuses a diagram with a non-standard pair, like :func:`k_triple`, and
+    one whose H1 has torsion.  See :func:`_kernel_form` for the model.
     """
-    h = homology(d)
-    if h[1][1]:
-        raise UnsupportedIntersectionForm(h[1][1])
+    k_triple(d)
+    return _kernel_form(d)
+
+
+def _kernel_form(d: TrisectionDiagram) -> IntMatrix:
+    """The intersection form from one integer kernel (Feller-Klug-Schirmer-Zemke).
+
+    A row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
+    matrix [L_beta; L_alpha; L_gamma] lifts the H2 class x = z_beta L_beta,
+    whose alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  The
+    pairing Q_K[z, w] = <x_z, -w_alpha L_alpha> vanishes on the kernel of
+    K -> H2, and with H1 torsion-free the form on H2 is unimodular, so
+    H2 = K / rad(Q_K).  The Gram matrix is taken on the complement of the
+    radical given by its Smith form, so it is a deterministic function of
+    the diagram; only its congruence class is an invariant.
+    """
     g = d.genus
     la, lb, lc = d.alpha.matrix(), d.beta.matrix(), d.gamma.matrix()
-    numerator = lattice_intersect(lb, lattice_sum(la, lc))
-    denominator = lattice_sum(lattice_intersect(lb, la), lattice_intersect(lb, lc))
-    lifts, torsion = _quotient_basis_lifts(numerator, denominator)
+    stacked = stack_rows(stack_rows(lb, la), lc)
+    # one Smith form gives both the H1 torsion and the left kernel
+    u, dmat, _, _, _ = _smith_with_inverses(stacked)
+    rank = _rank_of_smith(dmat)
+    torsion = tuple(x for x in dmat.diagonal()[:rank] if x > 1)
     if torsion:
         raise UnsupportedIntersectionForm(torsion)
-    decomp = stack_rows(la, lc)
-    alpha_parts = []
-    for y in lifts:
-        sol = solve_left_rational(decomp, y)
-        if sol is None:
-            raise ArithmeticError("H2 class does not decompose over alpha and gamma")
-        alpha_parts.append(
-            [
-                sum(sol[i] * la.rows[i][j] for i in range(la.nrows))
-                for j in range(2 * g)
-            ]
-        )
-    rows = []
-    for x in lifts:
-        row = []
-        for ya in alpha_parts:
-            val = sum(
-                Fraction(x[i]) * ya[g + i] - Fraction(x[g + i]) * ya[i] for i in range(g)
-            )
-            if val.denominator != 1:
-                raise ArithmeticError("intersection number is not an integer")
-            row.append(int(val))
-        rows.append(row)
-    q = IntMatrix(rows, len(lifts))
+    kern = lattice_basis(IntMatrix(u.rows[rank:], 3 * g))
+    lifts = IntMatrix([z[:g] for z in kern.rows], g) @ lb
+    alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern.rows], g) @ la
+    qk = lifts @ symplectic_form(g) @ alpha_parts.transpose()
+    rad = left_kernel(qk)
+    _, rdiag, _, _, vinv = _smith_with_inverses(rad)
+    basis = IntMatrix(vinv.rows[_rank_of_smith(rdiag) :], kern.nrows)
+    q = basis @ qk @ basis.transpose()
     if q != q.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     return q
@@ -176,24 +150,24 @@ class FormInvariants:
 def form_invariants(q: IntMatrix) -> FormInvariants:
     """Rank, signature and parity of a symmetric integer form, exactly.
 
-    The signature comes from congruence diagonalization over the rationals;
-    a zero diagonal is repaired by the hyperbolic-pair trick (add one basis
-    vector to another), which keeps everything exact.  Parity is even iff
-    every diagonal entry is even, which is a congruence invariant.
+    The signature comes from integer congruence diagonalization: a pivot p
+    with row v splits off, and the rest becomes the Schur complement scaled
+    by |p|, |p| M - sign(p) v v^T, then divided by the gcd of its entries;
+    positive scalings keep the signature.  A zero diagonal is repaired by
+    the hyperbolic-pair trick (add one basis vector to another).  Parity is
+    even iff every diagonal entry is even, which is a congruence invariant.
     """
     if q.nrows != q.ncols:
         raise ValueError("form matrix must be square")
     if q != q.transpose():
         raise ValueError("form matrix must be symmetric")
-    n = q.nrows
-    m = [[Fraction(x) for x in row] for row in q.rows]
+    m = [list(row) for row in q.rows]
     pos = neg = 0
-    for t in range(n):
-        piv = next((i for i in range(t, n) if m[i][i]), None)
+    while m:
+        n = len(m)
+        piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
-            off = next(
-                ((i, j) for i in range(t, n) for j in range(i + 1, n) if m[i][j]), None
-            )
+            off = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
             if off is None:
                 break
             i, j = off
@@ -202,22 +176,18 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
             for k in range(n):
                 m[k][i] += m[k][j]
             piv = i
-        if piv != t:
-            m[t], m[piv] = m[piv], m[t]
-            for row in m:
-                row[t], row[piv] = row[piv], row[t]
-        p = m[t][t]
+        p = m[piv][piv]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(t + 1, n):
-            f = m[i][t] / p
-            if f:
-                for k in range(n):
-                    m[i][k] -= f * m[t][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][t]
+        sign, scale = (1 if p > 0 else -1), abs(p)
+        v = m[piv][:piv] + m[piv][piv + 1 :]
+        rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
+        m = [[scale * x - sign * vi * vj for x, vj in zip(row, v)] for row, vi in zip(rest, v)]
+        div = math.gcd(*(x for row in m for x in row))
+        if div > 1:
+            m = [[x // div for x in row] for row in m]
     parity = "even" if all(row[i] % 2 == 0 for i, row in enumerate(q.rows)) else "odd"
     return FormInvariants(pos + neg, pos - neg, parity)
 

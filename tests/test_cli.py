@@ -105,6 +105,26 @@ def test_form_matrix():
     assert res.stdout == "size: 2\nrow: 1 0\nrow: 0 -1\n"
 
 
+H1_TORSION_ERROR = "error: H1 has torsion [2]; form computation unsupported\n"
+
+
+def test_invariants_h1_torsion_prints_homology_then_refuses_form():
+    res = run_cli("invariants", str(FIXTURES / "h1_torsion.tri"))
+    assert res.returncode == 1
+    assert res.stdout == (
+        "genus: 3\nk_alpha_beta: 1\nk_beta_gamma: 1\nk_gamma_alpha: 1\neuler: 2\n"
+        "H0: Z\nH1: Z/2\nH2: Z/2\nH3: 0\nH4: Z\n"
+    )
+    assert res.stderr == H1_TORSION_ERROR
+
+
+def test_form_h1_torsion_refused():
+    res = run_cli("form", str(FIXTURES / "h1_torsion.tri"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == H1_TORSION_ERROR
+
+
 def test_stabilize_prints_canonical_diagram():
     res = run_cli("stabilize", str(FIXTURES / "s4.tri"), "--family", "alpha")
     assert res.returncode == 0

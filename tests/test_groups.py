@@ -128,6 +128,11 @@ class TestCountHoms:
     def test_trivial_group(self, degree):
         assert count_homs(presentation(0, []), degree) == 1
 
+    def test_degree_one_many_generators(self):
+        # S1 is trivial, so the count is 1 whatever the presentation
+        assert count_homs(presentation(3000, []), 1) == 1
+        assert count_homs(presentation(2, [COMMUTATOR]), 1) == 1
+
     def test_free_rank_one(self):
         assert count_homs(presentation(1, []), 3) == 6
 

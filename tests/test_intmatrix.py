@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -16,7 +15,6 @@ from trisect.intmatrix import (
     quotient_invariants,
     saturate,
     smith_normal_form,
-    solve_left_rational,
     symplectic_form,
     symplectic_pairing,
 )
@@ -184,13 +182,6 @@ def test_left_kernel():
     assert k == IntMatrix([[2, -1]])
     assert (k @ m) == IntMatrix.zeros(1, 2)
     assert left_kernel(IntMatrix.identity(3)).nrows == 0
-
-
-def test_solve_left_rational():
-    m = IntMatrix([[2, 0], [0, 3]])
-    x = solve_left_rational(m, (1, 1))
-    assert x == (Fraction(1, 2), Fraction(1, 3))
-    assert solve_left_rational(IntMatrix([[1, 0]]), (0, 1)) is None
 
 
 def test_symplectic_pairing_examples():

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import LIBRARY_BUILDERS, random_move_sequence
 from trisect.diagrams import (
+    TrisectionDiagram,
     connected_sum,
     heegaard_diagram,
     standard_diagram,
@@ -13,7 +16,6 @@ from trisect.invariants import (
     NotHomologicallyStandard,
     VERDICT_NOT_SPHERE,
     VERDICT_TRIVIAL_PI1,
-    _quotient_basis_lifts,
     euler_characteristic,
     form_invariants,
     homology,
@@ -143,14 +145,37 @@ class TestIntersectionForm:
             q = intersection_form(d)
             assert q.determinant() in (1, -1) or q.nrows == 0
 
-    def test_quotient_lift_torsion_detected(self):
-        # the internal quotient step reports torsion; the public wrapper turns
-        # this into UnsupportedIntersectionForm
-        lifts, torsion = _quotient_basis_lifts(
-            IntMatrix.identity(2), IntMatrix([[2, 0]])
-        )
-        assert torsion == (2,)
-        assert len(lifts) == 1
+
+@st.composite
+def moved_diagrams(draw):
+    """A library diagram, or the connected sum of two, after random slides
+    and stabilizations."""
+    names = st.sampled_from(sorted(LIBRARY_BUILDERS))
+    d = LIBRARY_BUILDERS[draw(names)]()
+    if draw(st.booleans()):
+        d = connected_sum(d, LIBRARY_BUILDERS[draw(names)]())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return random_move_sequence(d, rng, max_moves=8)[0]
+
+
+class TestFormProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams())
+    def test_unimodular_with_rank_b2(self, d):
+        q = intersection_form(d)
+        assert abs(q.determinant()) == 1
+        assert form_invariants(q).rank == q.nrows == homology(d)[2][0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams())
+    def test_family_permutations(self, d):
+        # rotating the families keeps the orientation; swapping two reverses it
+        inv = form_invariants(intersection_form(d))
+        rotated = TrisectionDiagram(d.genus, d.beta, d.gamma, d.alpha)
+        assert form_invariants(intersection_form(rotated)) == inv
+        swapped = TrisectionDiagram(d.genus, d.beta, d.alpha, d.gamma)
+        reversed_inv = FormInvariants(inv.rank, -inv.signature, inv.parity)
+        assert form_invariants(intersection_form(swapped)) == reversed_inv
 
 
 class TestFormInvariants:
