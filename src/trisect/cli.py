@@ -34,6 +34,7 @@ from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
     UnsupportedIntersectionForm,
+    _curve_smith,
     _euler_and_homology,
     _kernel_form,
     form_invariants,
@@ -81,12 +82,13 @@ def _cmd_invariants(args) -> int:
     ks = k_triple(d)
     for name, k in zip(PAIR_NAMES, ks):
         print(f"k_{name}: {k}")
-    chi, h = _euler_and_homology(d, ks)
+    curve_smith = _curve_smith(d, ("u",))
+    chi, h = _euler_and_homology(d, ks, curve_smith[0])
     print(f"euler: {chi}")
     for i, (rank, torsion) in enumerate(h):
         print(f"H{i}: {format_abelian(rank, torsion)}")
     # k_triple above already refused non-standard pairs, as intersection_form would
-    form = form_invariants(_kernel_form(d))
+    form = form_invariants(_kernel_form(d, curve_smith))
     print(f"form_rank: {form.rank}")
     print(f"form_signature: {form.signature}")
     print(f"form_parity: {form.parity}")

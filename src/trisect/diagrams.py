@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmatrix import IntMatrix, quotient_invariants, symplectic_pairing
+from .intmatrix import IntMatrix, _matrix, quotient_invariants, symplectic_pairing
 from .words import (
     Word,
     abelianize_word,
@@ -66,7 +66,7 @@ class CutSystem:
 
     def matrix(self) -> IntMatrix:
         """The g x 2g matrix of homology rows."""
-        return IntMatrix([c.homology for c in self.curves], 2 * self.genus)
+        return _matrix(tuple(c.homology for c in self.curves), 2 * self.genus)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                     pair=(i + 1, j + 1),
                     value=val,
                 )
-    free, torsion = quotient_invariants(2 * genus, IntMatrix(rows, 2 * genus))
+    free, torsion = quotient_invariants(2 * genus, _matrix(tuple(rows), 2 * genus))
     if free != genus or torsion:
         raise InvalidCutSystemError(
             "imprimitive",

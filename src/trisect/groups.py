@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .diagrams import TrisectionDiagram
-from .intmatrix import IntMatrix, lattice_contains, quotient_invariants
+from .intmatrix import IntMatrix, _in_lattice, lattice_basis, quotient_invariants
 from .invariants import k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
@@ -466,7 +466,7 @@ def _check_edge(edge: CubeEdge, src: Presentation, tgt: Presentation) -> EdgeChe
         rows += [_exponent_vector(r, nt) for r in tgt.relators]
         free, torsion = quotient_invariants(nt, IntMatrix(rows, nt))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
-    tgt_lattice = relator_matrix(tgt)
+    tgt_basis = lattice_basis(relator_matrix(tgt))
     mapped = True
     for r in src.relators:
         image = free_reduce(
@@ -474,7 +474,7 @@ def _check_edge(edge: CubeEdge, src: Presentation, tgt: Presentation) -> EdgeChe
             for t in r
             for t2 in (edge.images[t - 1] if t > 0 else invert_word(edge.images[-t - 1]))
         )
-        if not lattice_contains(tgt_lattice, _exponent_vector(image, nt)):
+        if not _in_lattice(tgt_basis, _exponent_vector(image, nt)):
             mapped = False
             break
     return EdgeCheck(edge.source, edge.target, surjectivity, mapped)

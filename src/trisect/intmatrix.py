@@ -2,7 +2,10 @@
 
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
-exactness and deterministic output over asymptotics.
+exactness and deterministic output over asymptotics.  One Smith routine,
+``_smith``, serves every caller, and each asks only for the transforms it
+uses (none for invariant factors).  Matrices built here skip the public
+constructor's coercion and shape checks through ``_matrix``.
 """
 
 from __future__ import annotations
@@ -41,15 +44,15 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         if self.nrows == 0:
-            return IntMatrix([()] * self.ncols, 0)
-        return IntMatrix(list(zip(*self.rows)) if self.ncols else [], self.nrows)
+            return _matrix(((),) * self.ncols, 0)
+        return _matrix(tuple(zip(*self.rows)), self.nrows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        rows = [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows]
-        return IntMatrix(rows, other.ncols)
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        rows = tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows)
+        return _matrix(rows, other.ncols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -95,82 +98,94 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
 
+def _matrix(rows: tuple[tuple[int, ...], ...], ncols: int) -> IntMatrix:
+    """Trusted constructor for matrices built inside the package: ``rows`` is
+    already a tuple of ``ncols``-long int tuples, so nothing is checked."""
+    mat = object.__new__(IntMatrix)
+    mat.rows, mat.nrows, mat.ncols = rows, len(rows), ncols
+    return mat
+
+
 def stack_rows(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.ncols != b.ncols:
         raise ValueError(f"cannot stack {a.ncols}-column and {b.ncols}-column matrices")
-    return IntMatrix(a.rows + b.rows, a.ncols)
+    return _matrix(a.rows + b.rows, a.ncols)
 
 
-def _smith_with_inverses(mat: IntMatrix):
-    """Return (U, D, V, Uinv, Vinv) with U*mat*V = D in Smith normal form.
+def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
+    """Smith normal form of ``mat``, tracking only the transforms in ``want``.
 
-    Pivots are chosen by smallest nonzero absolute value, ties broken by
-    lowest row then column, so the output is deterministic.
+    Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
+    of D (its length is the rank), then the transforms ``want`` names, in
+    its order, out of "u", "v", "uinv", "vinv": unimodular U, V with
+    U*mat*V = D, and their inverses.  A transform not asked for is never
+    updated.  Pivots are chosen by smallest nonzero absolute value, ties
+    broken by lowest row then column, so the output is deterministic and a
+    transform does not depend on which others were asked for.
     """
     m, n = mat.nrows, mat.ncols
     d = [list(r) for r in mat.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def eye(name, k):
+        return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
+
+    # U and V^-1 take row operations, U^-1 and V column operations; the
+    # latter two are stored transposed, so every update is a row update.
+    u, uinv_t, v_t, vinv = eye("u", m), eye("uinv", m), eye("v", n), eye("vinv", n)
+    by_rows = [x for x in (d, u, uinv_t) if x is not None]
+    by_cols = [x for x in (v_t, vinv) if x is not None]
+
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
 
     def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        for x in by_rows:
+            x[i], x[j] = x[j], x[i]
 
-    def row_add(i, j, q):
-        # row_i += q * row_j
-        di, dj = d[i], d[j]
-        for k in range(n):
-            di[k] += q * dj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] += q * uj[k]
-        for r in uinv:
-            r[j] -= q * r[i]
+    def row_add(i, j, q):  # row_i += q * row_j
+        axpy(d, i, j, q)
+        if u is not None:
+            axpy(u, i, j, q)
+        if uinv_t is not None:
+            axpy(uinv_t, j, i, -q)
 
     def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        for x in by_rows:
+            x[i] = [-e for e in x[i]]
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        for x in by_cols:
+            x[i], x[j] = x[j], x[i]
 
-    def col_add(i, j, q):
-        # col_i += q * col_j
+    def col_add(i, j, q):  # col_i += q * col_j
         for r in d:
             r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
-        vj, vi = vinv[j], vinv[i]
-        for k in range(n):
-            vj[k] -= q * vi[k]
+        if v_t is not None:
+            axpy(v_t, i, j, q)
+        if vinv is not None:
+            axpy(vinv, j, i, -q)
 
     def find_pivot(t):
-        best = None
-        bi = bj = -1
+        best, at = 0, None
         for i in range(t, m):
             row = d[i]
             for j in range(t, n):
                 e = row[j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    bi, bj = i, j
-        return None if best is None else (bi, bj)
+                if e and (not best or abs(e) < best):
+                    best, at = abs(e), (i, j)
+                    if best == 1:  # nothing smaller, and later ties lose
+                        return at
+        return at
 
     t = 0
-    limit = min(m, n)
-    while t < limit and find_pivot(t) is not None:
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
         while True:
-            i, j = find_pivot(t)
+            i, j = pivot
             if i != t:
                 row_swap(i, t)
             if j != t:
@@ -185,45 +200,36 @@ def _smith_with_inverses(mat: IntMatrix):
                 if d[t][j]:
                     col_add(j, t, -(d[t][j] // p))
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
-                continue  # leftover remainders become the next, smaller pivot
-            bad = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+                pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
+                continue
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if bad is None:
                 break
             row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
+            pivot = find_pivot(t)
         t += 1
-    return (
-        IntMatrix(u, m),
-        IntMatrix(d, n),
-        IntMatrix(v, n),
-        IntMatrix(uinv, m),
-        IntMatrix(vinv, n),
-    )
+    tracked = {"u": u, "uinv": uinv_t, "v": v_t, "vinv": vinv}
+    out = [tuple(d[i][i] for i in range(t))]
+    for name in want:
+        rows = zip(*tracked[name]) if name in ("uinv", "v") else tracked[name]
+        out.append(_matrix(tuple(map(tuple, rows)), len(tracked[name])))
+    return tuple(out)
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U, V unimodular and U*mat*V = D = diag(d1 | d2 | ...) >= 0."""
-    u, d, v, _, _ = _smith_with_inverses(mat)
-    return u, d, v
-
-
-def _rank_of_smith(d: IntMatrix) -> int:
-    return sum(1 for x in d.diagonal() if x)
+    divisors, u, v = _smith(mat, ("u", "v"))
+    rows = [[0] * mat.ncols for _ in range(mat.nrows)]
+    for i, x in enumerate(divisors):
+        rows[i][i] = x
+    return u, _matrix(tuple(map(tuple, rows)), mat.ncols), v
 
 
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion divisors of Z^ambient_rank / rowspan(mat)."""
     if mat.ncols != ambient_rank:
         raise ValueError(f"matrix has {mat.ncols} columns, ambient rank is {ambient_rank}")
-    _, d, _ = smith_normal_form(mat)
-    divisors = [x for x in d.diagonal() if x]
+    divisors = _smith(mat)[0]
     return ambient_rank - len(divisors), tuple(x for x in divisors if x > 1)
 
 
@@ -285,14 +291,18 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
             q = basis[above][p] // dpv
             if q:
                 basis[above] = [basis[above][k] - q * basis[idx][k] for k in range(n)]
-    return IntMatrix(basis, n)
+    return _matrix(tuple(map(tuple, basis)), n)
 
 
 def lattice_contains(mat: IntMatrix, vec: Sequence[int]) -> bool:
     """Is ``vec`` in the integer row span of ``mat``?"""
     if len(vec) != mat.ncols:
         raise ValueError(f"vector has length {len(vec)}, lattice lives in rank {mat.ncols}")
-    basis = lattice_basis(mat)
+    return _in_lattice(lattice_basis(mat), vec)
+
+
+def _in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
+    """Is ``vec`` in the lattice whose canonical basis is ``basis``?"""
     v = [int(x) for x in vec]
     pivots = {next(k for k, x in enumerate(r) if x): r for r in basis.rows}
     for j in range(len(v)):
@@ -309,9 +319,8 @@ def lattice_contains(mat: IntMatrix, vec: Sequence[int]) -> bool:
 
 def left_kernel(mat: IntMatrix) -> IntMatrix:
     """Canonical basis of the integer solutions of x @ mat = 0."""
-    u, d, _, _, _ = _smith_with_inverses(mat)
-    r = _rank_of_smith(d)
-    return lattice_basis(IntMatrix(u.rows[r:], mat.nrows))
+    divisors, u = _smith(mat, ("u",))
+    return lattice_basis(_matrix(u.rows[len(divisors) :], mat.nrows))
 
 
 def lattice_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -341,9 +350,8 @@ def saturate(a: IntMatrix) -> IntMatrix:
     """Canonical basis of the saturation (Q-span ∩ Z^n) of the row lattice."""
     if a.nrows == 0:
         return IntMatrix([], a.ncols)
-    _, d, _, _, vinv = _smith_with_inverses(a)
-    r = _rank_of_smith(d)
-    return lattice_basis(IntMatrix(vinv.rows[:r], a.ncols))
+    divisors, vinv = _smith(a, ("vinv",))
+    return lattice_basis(_matrix(vinv.rows[: len(divisors)], a.ncols))
 
 
 def symplectic_form(genus: int) -> IntMatrix:

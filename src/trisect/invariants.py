@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .diagrams import HeegaardDiagram, TrisectionDiagram, heegaard_pairs
 from .intmatrix import (
     IntMatrix,
-    _rank_of_smith,
-    _smith_with_inverses,
+    _matrix,
+    _smith,
     lattice_basis,
     left_kernel,
     quotient_invariants,
@@ -62,14 +62,22 @@ def pair_k(h: HeegaardDiagram) -> int:
 
 
 def k_triple(d: TrisectionDiagram) -> tuple[int, int, int]:
-    """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha)."""
-    out = []
-    for name, h in zip(PAIR_NAMES, heegaard_pairs(d)):
-        try:
-            out.append(pair_k(h))
-        except NotHomologicallyStandard as exc:
-            raise NotHomologicallyStandard(exc.divisors, pair_name=name) from None
-    return tuple(out)
+    """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha).
+
+    Computed once per diagram object: the immutable ``d`` keeps the result.
+    Only a result is kept, so a non-standard diagram raises on every call.
+    """
+    ks = vars(d).get("_k_triple")
+    if ks is None:
+        out = []
+        for name, h in zip(PAIR_NAMES, heegaard_pairs(d)):
+            try:
+                out.append(pair_k(h))
+            except NotHomologicallyStandard as exc:
+                raise NotHomologicallyStandard(exc.divisors, pair_name=name) from None
+        ks = tuple(out)
+        object.__setattr__(d, "_k_triple", ks)
+    return ks
 
 
 def euler_characteristic(d: TrisectionDiagram) -> int:
@@ -83,15 +91,24 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     H1 is the cokernel of the three stacked curve matrices; H3 is its free
     part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    return _euler_and_homology(d, k_triple(d))[1]
+    return _euler_and_homology(d, k_triple(d), _curve_smith(d)[0])[1]
 
 
-def _euler_and_homology(d: TrisectionDiagram, ks: tuple[int, int, int]):
-    """(chi, H_0..H_4) of ``d`` from its k-triple, so a caller that needs
-    all three computes the k-triple once."""
+def _curve_smith(d: TrisectionDiagram, want: tuple[str, ...] = ()) -> tuple:
+    """``_smith`` of the stacked curve matrix [L_beta; L_alpha; L_gamma]: its
+    divisors give H1, its U the kernel behind :func:`_kernel_form`."""
+    stacked = stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix())
+    return _smith(stacked, want)
+
+
+def _euler_and_homology(
+    d: TrisectionDiagram, ks: tuple[int, int, int], divisors: tuple[int, ...]
+):
+    """(chi, H_0..H_4) of ``d`` from its k-triple and the divisors of
+    :func:`_curve_smith`, so a caller that needs several invariants
+    computes each of those once."""
     chi = 2 + d.genus - sum(ks)
-    stacked = stack_rows(stack_rows(d.alpha.matrix(), d.beta.matrix()), d.gamma.matrix())
-    b1, torsion = quotient_invariants(2 * d.genus, stacked)
+    b1, torsion = 2 * d.genus - len(divisors), tuple(x for x in divisors if x > 1)
     b2 = chi - 2 + 2 * b1
     return chi, ((1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ()))
 
@@ -103,10 +120,10 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     one whose H1 has torsion.  See :func:`_kernel_form` for the model.
     """
     k_triple(d)
-    return _kernel_form(d)
+    return _kernel_form(d, _curve_smith(d, ("u",)))
 
 
-def _kernel_form(d: TrisectionDiagram) -> IntMatrix:
+def _kernel_form(d: TrisectionDiagram, curve_smith: tuple) -> IntMatrix:
     """The intersection form from one integer kernel (Feller-Klug-Schirmer-Zemke).
 
     A row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
@@ -116,24 +133,21 @@ def _kernel_form(d: TrisectionDiagram) -> IntMatrix:
     K -> H2, and with H1 torsion-free the form on H2 is unimodular, so
     H2 = K / rad(Q_K).  The Gram matrix is taken on the complement of the
     radical given by its Smith form, so it is a deterministic function of
-    the diagram; only its congruence class is an invariant.
+    the diagram; only its congruence class is an invariant.  One Smith form,
+    ``curve_smith = _curve_smith(d, ("u",))``, gives both the H1 torsion and K.
     """
     g = d.genus
-    la, lb, lc = d.alpha.matrix(), d.beta.matrix(), d.gamma.matrix()
-    stacked = stack_rows(stack_rows(lb, la), lc)
-    # one Smith form gives both the H1 torsion and the left kernel
-    u, dmat, _, _, _ = _smith_with_inverses(stacked)
-    rank = _rank_of_smith(dmat)
-    torsion = tuple(x for x in dmat.diagonal()[:rank] if x > 1)
+    divisors, u = curve_smith
+    torsion = tuple(x for x in divisors if x > 1)
     if torsion:
         raise UnsupportedIntersectionForm(torsion)
-    kern = lattice_basis(IntMatrix(u.rows[rank:], 3 * g))
-    lifts = IntMatrix([z[:g] for z in kern.rows], g) @ lb
-    alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern.rows], g) @ la
+    kern = lattice_basis(_matrix(u.rows[len(divisors) :], 3 * g))
+    la, lb = d.alpha.matrix(), d.beta.matrix()
+    lifts = _matrix(tuple(z[:g] for z in kern.rows), g) @ lb
+    alpha_parts = _matrix(tuple(tuple(-c for c in z[g : 2 * g]) for z in kern.rows), g) @ la
     qk = lifts @ symplectic_form(g) @ alpha_parts.transpose()
-    rad = left_kernel(qk)
-    _, rdiag, _, _, vinv = _smith_with_inverses(rad)
-    basis = IntMatrix(vinv.rows[_rank_of_smith(rdiag) :], kern.nrows)
+    rad_divisors, vinv = _smith(left_kernel(qk), ("vinv",))
+    basis = _matrix(vinv.rows[len(rad_divisors) :], kern.nrows)
     q = basis @ qk @ basis.transpose()
     if q != q.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")

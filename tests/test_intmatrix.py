@@ -1,12 +1,13 @@
 import math
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisect.intmatrix import (
     IntMatrix,
+    _smith,
     lattice_basis,
     lattice_contains,
     lattice_intersect,
@@ -15,6 +16,7 @@ from trisect.intmatrix import (
     quotient_invariants,
     saturate,
     smith_normal_form,
+    stack_rows,
     symplectic_form,
     symplectic_pairing,
 )
@@ -256,3 +258,90 @@ def test_lattice_intersect_symmetric():
         a = random_matrix_with_dims(rng, rng.randint(1, 3), n)
         b = random_matrix_with_dims(rng, rng.randint(1, 3), n)
         assert lattice_intersect(a, b) == lattice_intersect(b, a)
+
+
+TRANSFORMS = ("u", "v", "uinv", "vinv")
+
+
+@st.composite
+def small_matrices(draw, max_dim=4, bound=6):
+    """Up to max_dim x max_dim, with no rows, no columns, zero rows and zero
+    columns all reachable."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    entry = st.integers(-bound, bound)
+    rows = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+    if r and c and draw(st.booleans()):
+        zero_col = draw(st.integers(0, c - 1))
+        rows = [[0 if j == zero_col else x for j, x in enumerate(row)] for row in rows]
+    if r and draw(st.booleans()):
+        rows[draw(st.integers(0, r - 1))] = [0] * c
+    return IntMatrix(rows, c)
+
+
+@settings(max_examples=150)
+@given(small_matrices())
+def test_smith_divisors_match_minor_oracle(m):
+    divisors = _smith(m)[0]
+    assert list(divisors) == minor_gcd_divisors(m)
+    free, torsion = quotient_invariants(m.ncols, m)
+    assert free == m.ncols - len(divisors)
+    assert torsion == tuple(x for x in divisors if x > 1)
+
+
+def test_smith_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    @settings(max_examples=80)
+    @given(small_matrices())
+    def check(m):
+        ref = sympy_snf(sympy.Matrix(m.nrows, m.ncols, list(chain(*m.rows))), domain=sympy.ZZ)
+        ref_diag = [abs(int(ref[i, i])) for i in range(min(m.nrows, m.ncols))]
+        assert list(_smith(m)[0]) == [x for x in ref_diag if x]
+
+    check()
+
+
+@settings(max_examples=80)
+@given(small_matrices(max_dim=5))
+def test_smith_requested_transforms(m):
+    full = dict(zip(TRANSFORMS, _smith(m, TRANSFORMS)[1:]))
+    u, v, uinv, vinv = (full[name] for name in TRANSFORMS)
+    divisors = _smith(m)[0]
+    d = [[0] * m.ncols for _ in range(m.nrows)]
+    for i, x in enumerate(divisors):
+        d[i][i] = x
+    assert u @ m @ v == IntMatrix(d, m.ncols)
+    assert u @ uinv == IntMatrix.identity(m.nrows)
+    assert v @ vinv == IntMatrix.identity(m.ncols)
+    for k in range(len(TRANSFORMS) + 1):
+        for want in combinations(TRANSFORMS, k):
+            got = _smith(m, want)
+            assert got[0] == divisors
+            assert got[1:] == tuple(full[name] for name in want)
+    assert _smith(m, ("vinv", "u"))[1:] == (vinv, u)
+
+
+def test_public_constructor_checks_shape():
+    with pytest.raises(ValueError, match="unequal"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ncols"):
+        IntMatrix([[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="explicit ncols"):
+        IntMatrix([])
+
+
+def test_public_constructor_coerces_entries():
+    m = IntMatrix([[True, 0], (False, 2)])
+    assert m.rows == ((1, 0), (0, 2))
+    assert all(type(x) is int for row in m.rows for x in row)
+
+
+def test_internal_results_equal_public_matrices():
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    no_rows = IntMatrix([], ncols=3)
+    for built in (m.transpose().transpose(), m @ IntMatrix.identity(3), stack_rows(m, no_rows)):
+        assert built == m and hash(built) == hash(m)
+        assert isinstance(built.rows, tuple) and all(isinstance(r, tuple) for r in built.rows)
+    assert left_kernel(IntMatrix([[1, 0], [2, 0]])) == IntMatrix([[2, -1]])

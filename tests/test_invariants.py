@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LIBRARY_BUILDERS, random_move_sequence
+import trisect.invariants as invariants_module
+from conftest import FIXTURES, LIBRARY_BUILDERS, random_move_sequence
 from trisect.diagrams import (
     TrisectionDiagram,
     connected_sum,
     heegaard_diagram,
+    slide_family,
     standard_diagram,
 )
 from trisect.intmatrix import IntMatrix
@@ -24,6 +26,7 @@ from trisect.invariants import (
     pair_k,
     poincare_candidate_check,
 )
+from trisect.textio import parse, serialize
 from trisect.words import parse_word
 
 Z = (1, ())
@@ -63,6 +66,34 @@ class TestPairK:
         with pytest.raises(NotHomologicallyStandard) as exc:
             k_triple(bad)
         assert exc.value.pair_name == "beta_gamma"
+
+    def test_k_triple_computed_once_per_diagram(self, monkeypatch):
+        d = connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3"))
+        calls = []
+        real = invariants_module.pair_k
+        monkeypatch.setattr(invariants_module, "pair_k", lambda h: calls.append(h) or real(h))
+        assert k_triple(d) == (1, 1, 1)
+        assert k_triple(d) == (1, 1, 1)
+        assert euler_characteristic(d) == 1
+        assert len(calls) == 3
+
+    def test_nonstandard_pair_raises_on_every_call(self):
+        d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
+        for _ in range(2):
+            with pytest.raises(NotHomologicallyStandard) as exc:
+                k_triple(d)
+            assert exc.value.pair_name == "alpha_beta"
+            assert exc.value.divisors == (2,)
+
+    def test_k_triple_leaves_equality_hash_and_text(self):
+        summed = connected_sum(standard_diagram("CP2"), standard_diagram("S2xS2"))
+        text = serialize(slide_family(summed, "beta", 0, 2))
+        d, twin = parse(text), parse(text)
+        before = (hash(d), repr(d), serialize(d))
+        k_triple(d)
+        assert d == twin and twin == d
+        assert (hash(d), repr(d), serialize(d)) == before
+        assert hash(d) == hash(twin) and serialize(d) == text
 
 
 def _forged_gamma():
