@@ -69,9 +69,6 @@ class IntMatrix:
             return f"IntMatrix([], ncols={self.ncols})"
         return "IntMatrix(%r)" % [list(r) for r in self.rows]
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
     def determinant(self) -> int:
         """Exact determinant (fraction-free Bareiss elimination)."""
         if self.nrows != self.ncols:
@@ -117,11 +114,11 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
 
     Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
     of D (its length is the rank), then the transforms ``want`` names, in
-    its order, out of "u", "v", "uinv", "vinv": unimodular U, V with
-    U*mat*V = D, and their inverses.  A transform not asked for is never
-    updated.  Pivots are chosen by smallest nonzero absolute value, ties
-    broken by lowest row then column, so the output is deterministic and a
-    transform does not depend on which others were asked for.
+    its order, out of "u", "v", "vinv": unimodular U, V with U*mat*V = D,
+    and the inverse of V.  A transform not asked for is never updated.
+    Pivots are chosen by smallest nonzero absolute value, ties broken by
+    lowest row then column, so the output is deterministic and a transform
+    does not depend on which others were asked for.
     """
     m, n = mat.nrows, mat.ncols
     d = [list(r) for r in mat.rows]
@@ -129,10 +126,10 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     def eye(name, k):
         return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
 
-    # U and V^-1 take row operations, U^-1 and V column operations; the
-    # latter two are stored transposed, so every update is a row update.
-    u, uinv_t, v_t, vinv = eye("u", m), eye("uinv", m), eye("v", n), eye("vinv", n)
-    by_rows = [x for x in (d, u, uinv_t) if x is not None]
+    # U and V^-1 take row operations, V column operations; V is stored
+    # transposed, so every update is a row update.
+    u, v_t, vinv = eye("u", m), eye("v", n), eye("vinv", n)
+    by_rows = [x for x in (d, u) if x is not None]
     by_cols = [x for x in (v_t, vinv) if x is not None]
 
     def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
@@ -146,8 +143,6 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
         axpy(d, i, j, q)
         if u is not None:
             axpy(u, i, j, q)
-        if uinv_t is not None:
-            axpy(uinv_t, j, i, -q)
 
     def row_negate(i):
         for x in by_rows:
@@ -208,10 +203,10 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
             row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
             pivot = find_pivot(t)
         t += 1
-    tracked = {"u": u, "uinv": uinv_t, "v": v_t, "vinv": vinv}
+    tracked = {"u": u, "v": v_t, "vinv": vinv}
     out = [tuple(d[i][i] for i in range(t))]
     for name in want:
-        rows = zip(*tracked[name]) if name in ("uinv", "v") else tracked[name]
+        rows = zip(*v_t) if name == "v" else tracked[name]
         out.append(_matrix(tuple(map(tuple, rows)), len(tracked[name])))
     return tuple(out)
 

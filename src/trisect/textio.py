@@ -74,7 +74,7 @@ def parse(text: str):
 
     lineno, body, _ = take("genus")
     parts = body.split()
-    if len(parts) != 2 or parts[0] != "genus" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "genus" or not (parts[1].isascii() and parts[1].isdigit()):
         raise ParseError(f"expected 'genus <n>', got {body.strip()!r}", line=lineno, column=1)
     genus = int(parts[1])
 

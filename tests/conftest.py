@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from trisect import connected_sum, slide_family, stabilize, standard_diagram
 from trisect.diagrams import FAMILY_NAMES
@@ -46,6 +47,18 @@ def random_move_sequence(d, rng: random.Random, max_moves: int = 10):
             )
             d = slide_family(d, fam, i, j, conj, rng.choice((1, -1)))
     return d, stabs
+
+
+@st.composite
+def moved_diagrams(draw, max_moves: int = 8):
+    """A library diagram, or the connected sum of two, after random slides
+    and stabilizations."""
+    names = st.sampled_from(sorted(LIBRARY_BUILDERS))
+    d = LIBRARY_BUILDERS[draw(names)]()
+    if draw(st.booleans()):
+        d = connected_sum(d, LIBRARY_BUILDERS[draw(names)]())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return random_move_sequence(d, rng, max_moves=max_moves)[0]
 
 
 @pytest.fixture

@@ -42,6 +42,10 @@ def test_parse_error_exits_2():
     res = run_cli("validate", "-", stdin="genus 1\n")
     assert res.returncode == 2
     assert "line 1" in res.stderr
+    # a non-ASCII digit is a parse error with its location, not a traceback
+    res = run_cli("validate", "-", stdin="trisection\ngenus \u00b2\nalpha\nbeta\ngamma\n")
+    assert res.returncode == 2
+    assert "(line 2, column 1)" in res.stderr
 
 
 def test_nonstandard_pair_fails_invariants_but_validates():

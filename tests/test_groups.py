@@ -1,26 +1,37 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trisect.diagrams import standard_diagram
+import trisect.groups as groups
+from conftest import moved_diagrams
+from trisect.diagrams import connected_sum, standard_diagram
 from trisect.groups import (
     CUBE_EDGES,
+    CUBE_FACES,
     CUBE_VERTICES,
     CubeEdge,
     EnumerationRefused,
+    FaceCheck,
     GroupTrisectionCube,
     MalformedCubeError,
     Presentation,
+    _check_edge,
+    _pushout_presentation,
     abelianize_presentation,
     build_cube,
     count_homs,
     diagram_hom_count,
     pi1_presentation,
     presentation,
+    relator_matrix,
     tietze_simplify,
     verify_cube,
 )
+from trisect.intmatrix import lattice_basis
 from trisect.invariants import homology
+
 
 def rel(*texts):
     """Relators over abstract generators written as signed tuples."""
@@ -276,6 +287,38 @@ class TestCube:
         assert failed[0].vertices[-1] == "sector_alpha_beta"
         assert not report.ok
 
+    def test_total_vertex_is_pi1(self, library):
+        for name, d in library.items():
+            assert build_cube(d).vertices["total"] == pi1_presentation(d), name
+
+    def test_work_per_cube(self, monkeypatch):
+        # each distinct sink is Tietze-reduced once, each target's relator
+        # basis is built once, and identical reduced forms need no abelianization
+        cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
+        calls = Counter()
+        for name in ("tietze_simplify", "abelianize_presentation", "lattice_basis"):
+
+            def counted(*args, _fn=getattr(groups, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(groups, name, counted)
+        report = verify_cube(cube, budget=1000)
+        assert all(f.status == "Verified" for f in report.faces)
+        assert calls["tietze_simplify"] <= 10
+        assert calls["abelianize_presentation"] == 0
+        assert calls["lattice_basis"] == 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
+    def test_matches_reference_procedure(self, d, budget):
+        # small budgets leave faces only homologically verified
+        cube = build_cube(d)
+        sectors = ("sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha")
+        for c in [cube] + [corrupt_sector(cube, s) for s in sectors]:
+            report = verify_cube(c, budget)
+            assert (report.edges, report.faces) == reference_verify(c, budget)
+
     def test_malformed_cube_rejected(self):
         cube = build_cube(standard_diagram("CP2"))
         missing = dict(cube.vertices)
@@ -293,6 +336,29 @@ class TestCube:
         )
         with pytest.raises(MalformedCubeError):
             verify_cube(bad_arity)
+
+
+def reference_verify(cube, budget):
+    """Edge and face checks by the plain procedure: a relator basis per edge,
+    and each face abelianized raw before both sides are Tietze-reduced."""
+    v = cube.vertices
+    edges = tuple(
+        _check_edge(e, v[e.source], v[e.target], lattice_basis(relator_matrix(v[e.target])))
+        for e in cube.edges
+    )
+    faces = []
+    for source, mid1, mid2, sink in CUBE_FACES:
+        pushout = _pushout_presentation(
+            v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
+        )
+        if abelianize_presentation(pushout) != abelianize_presentation(v[sink]):
+            status = "Failed"
+        else:
+            left, right = tietze_simplify(pushout, budget), tietze_simplify(v[sink], budget)
+            same = (left.num_generators, left.relators) == (right.num_generators, right.relators)
+            status = "Verified" if same else "HomologicallyVerified"
+        faces.append(FaceCheck((source, mid1, mid2, sink), status))
+    return edges, tuple(faces)
 
 
 def corrupt_sector(cube, sector):

@@ -260,7 +260,7 @@ def test_lattice_intersect_symmetric():
         assert lattice_intersect(a, b) == lattice_intersect(b, a)
 
 
-TRANSFORMS = ("u", "v", "uinv", "vinv")
+TRANSFORMS = ("u", "v", "vinv")
 
 
 @st.composite
@@ -307,13 +307,13 @@ def test_smith_divisors_match_sympy():
 @given(small_matrices(max_dim=5))
 def test_smith_requested_transforms(m):
     full = dict(zip(TRANSFORMS, _smith(m, TRANSFORMS)[1:]))
-    u, v, uinv, vinv = (full[name] for name in TRANSFORMS)
+    u, v, vinv = (full[name] for name in TRANSFORMS)
     divisors = _smith(m)[0]
     d = [[0] * m.ncols for _ in range(m.nrows)]
     for i, x in enumerate(divisors):
         d[i][i] = x
     assert u @ m @ v == IntMatrix(d, m.ncols)
-    assert u @ uinv == IntMatrix.identity(m.nrows)
+    assert abs(u.determinant()) == 1
     assert v @ vinv == IntMatrix.identity(m.ncols)
     for k in range(len(TRANSFORMS) + 1):
         for want in combinations(TRANSFORMS, k):

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import trisect.invariants as invariants_module
-from conftest import FIXTURES, LIBRARY_BUILDERS, random_move_sequence
+from conftest import FIXTURES, moved_diagrams
 from trisect.diagrams import (
     TrisectionDiagram,
     connected_sum,
@@ -175,18 +175,6 @@ class TestIntersectionForm:
         for d in library.values():
             q = intersection_form(d)
             assert q.determinant() in (1, -1) or q.nrows == 0
-
-
-@st.composite
-def moved_diagrams(draw):
-    """A library diagram, or the connected sum of two, after random slides
-    and stabilizations."""
-    names = st.sampled_from(sorted(LIBRARY_BUILDERS))
-    d = LIBRARY_BUILDERS[draw(names)]()
-    if draw(st.booleans()):
-        d = connected_sum(d, LIBRARY_BUILDERS[draw(names)]())
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    return random_move_sequence(d, rng, max_moves=8)[0]
 
 
 class TestFormProperties:

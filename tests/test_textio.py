@@ -44,6 +44,12 @@ def test_bad_genus_line():
     with pytest.raises(ParseError) as exc:
         parse("trisection\ngenus x\nalpha\nbeta\ngamma\n")
     assert exc.value.line == 2
+    # superscript two and full-width zero pass str.isdigit() but are not
+    # numerals of the file format
+    for genus in ("\u00b2", "\uff10"):
+        with pytest.raises(ParseError) as exc:
+            parse(f"trisection\ngenus {genus}\nalpha\nbeta\ngamma\n")
+        assert (exc.value.line, exc.value.column) == (2, 1), genus
 
 
 def test_bad_token_reports_line_and_column():
