@@ -140,9 +140,15 @@ def _canonical_rotation(w: Word) -> Word:
     return min([v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)], default=())
 
 
-def _normalize_relators(relators) -> list[Word]:
-    seen = set()
-    out = []
+def _normalize_relators(relators, normal=()) -> list[Word]:
+    """Distinct nonempty canonical relators, shortest first, then lexicographic.
+
+    ``normal`` holds relators already canonical and distinct; they are kept
+    as they are and only ``relators`` are canonicalized.  The result depends
+    on the set of canonical relators alone.
+    """
+    out = list(normal)
+    seen = set(out)
     for r in relators:
         r = _canonical_rotation(cyclic_reduce(r))
         if r and r not in seen:
@@ -188,11 +194,17 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     cyclic piece of another.  The pair (generator count, total relator
     length) strictly decreases lexicographically, so a fixpoint exists and
     the result is idempotent.
+
+    Relators are kept distinct, canonical and sorted, and each move
+    canonicalizes only what it changed: the substituted relators after an
+    elimination, or the one shortened relator.  Generators keep their
+    labels until the end, when the survivors are numbered 1..n.  The result
+    equals that of renumbering and renormalizing every relator after every
+    move.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    n = p.num_generators
-    names = list(p.generator_names())
+    eliminated = set()
     rels = _normalize_relators(p.relators)
     steps = 0
     while steps < budget:
@@ -212,30 +224,15 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
             r = r[pos:] + r[:pos]
             head, tail = r[0], r[1:]
             rep = invert_word(tail) if head > 0 else tail
-
-            def substitute(word):
-                out = []
-                for t in word:
-                    if t == gen:
-                        out.extend(rep)
-                    elif t == -gen:
-                        out.extend(invert_word(rep))
-                    else:
-                        out.append(t)
-                return out
-
-            def renumber(t):
-                if t > gen:
-                    return t - 1
-                if t < -gen:
-                    return t + 1
-                return t
-
-            rels = _normalize_relators(
-                tuple(renumber(t) for t in substitute(w)) for w in rels
-            )
-            names.pop(gen - 1)
-            n -= 1
+            image = {gen: rep, -gen: invert_word(rep)}
+            kept, substituted = [], []
+            for w in rels:
+                if gen in w or -gen in w:
+                    substituted.append([x for t in w for x in image.get(t, (t,))])
+                else:
+                    kept.append(w)
+            rels = _normalize_relators(substituted, kept)
+            eliminated.add(gen)
             steps += 1
             continue
         found = None
@@ -252,18 +249,26 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
         if found is None:
             break
         i, cand = found
-        rels[i] = cand
-        rels = _normalize_relators(rels)
+        rels = _normalize_relators([cand], rels[:i] + rels[i + 1 :])
         steps += 1
-    return Presentation(n, tuple(rels), tuple(names))
+    # numbering the survivors in order is monotone and commutes with
+    # inversion, so it keeps each relator canonical and the list sorted
+    survivors = [g for g in range(1, p.num_generators + 1) if g not in eliminated]
+    label = {g: i for i, g in enumerate(survivors, 1)}
+    rels = tuple(tuple(label[t] if t > 0 else -label[-t] for t in r) for r in rels)
+    names = p.generator_names()
+    return Presentation(len(survivors), rels, tuple(names[g - 1] for g in survivors))
 
 
 def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     """Exact number of homomorphisms to the symmetric group on ``degree`` letters.
 
-    Enumerates generator images with backtracking; a relator is checked as
-    soon as all generators it mentions are assigned.  Refuses when the raw
-    assignment count (degree!)^n exceeds ``cap``.
+    A generator in no relator is a free factor Z and contributes
+    ``degree!`` without enumeration.  The generators the relators mention
+    get their images by backtracking in increasing order with an explicit
+    stack; a relator is checked as soon as all generators it mentions are
+    assigned.  Refuses when the raw assignment count (degree!)^n of the
+    whole presentation exceeds ``cap``.
     """
     if not 1 <= degree <= 5:
         raise ValueError("degree must be between 1 and 5")
@@ -274,48 +279,47 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
         raise EnumerationRefused(cost, cap)
     if n == 0 or degree == 1:
         return 1  # S1 is trivial: one assignment, and every relator holds
+    local = {g: i for i, g in enumerate(sorted({abs(t) for r in p.relators for t in r}))}
+    m = len(local)
+    free = size ** (n - m)
+    if m == 0:
+        return free
+
     perms = sorted(permutations(range(degree)))
     index = {perm: i for i, perm in enumerate(perms)}
-    mul = [
-        [index[tuple(pp[qq[k]] for k in range(degree))] for qq in perms] for pp in perms
-    ]
-    inv = []
-    for perm in perms:
-        q = [0] * degree
-        for k in range(degree):
-            q[perm[k]] = k
-        inv.append(index[tuple(q)])
+    mul = [[index[tuple(pp[qq[k]] for k in range(degree))] for qq in perms] for pp in perms]
+    inv = [index[tuple(sorted(range(degree), key=perm.__getitem__))] for perm in perms]
     e = index[tuple(range(degree))]
 
-    by_max: list[list[list[tuple[int, bool]]]] = [[] for _ in range(n + 1)]
+    by_max: list[list[list[tuple[int, bool]]]] = [[] for _ in range(m)]
     for r in p.relators:
-        by_max[max(abs(t) for t in r)].append([(abs(t) - 1, t > 0) for t in r])
+        word = [(local[abs(t)], t > 0) for t in r]
+        by_max[max(gi for gi, _ in word)].append(word)
 
-    assign = [0] * n
+    assign = [0] * m
+    nxt = [0] * m  # next image to try at each level
     count = 0
-
-    def walk(g):
-        nonlocal count
-        checks = by_max[g + 1]
-        for pidx in range(size):
-            assign[g] = pidx
-            ok = True
-            for rel in checks:
-                acc = e
-                for gi, pos in rel:
-                    x = assign[gi] if pos else inv[assign[gi]]
-                    acc = mul[acc][x]
-                if acc != e:
-                    ok = False
-                    break
-            if ok:
-                if g + 1 == n:
-                    count += 1
-                else:
-                    walk(g + 1)
-
-    walk(0)
-    return count
+    level = 0
+    while level >= 0:
+        x = nxt[level]
+        if x == size:
+            level -= 1
+            continue
+        nxt[level] = x + 1
+        assign[level] = x
+        for rel in by_max[level]:
+            acc = e
+            for gi, pos in rel:
+                acc = mul[acc][assign[gi] if pos else inv[assign[gi]]]
+            if acc != e:
+                break
+        else:
+            if level + 1 == m:
+                count += 1
+            else:
+                level += 1
+                nxt[level] = 0
+    return free * count
 
 
 def diagram_hom_count(

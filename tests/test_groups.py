@@ -1,12 +1,13 @@
 import random
 from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisect.groups as groups
 from conftest import moved_diagrams
-from trisect.diagrams import connected_sum, standard_diagram
+from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, stabilize, standard_diagram
 from trisect.groups import (
     CUBE_EDGES,
     CUBE_FACES,
@@ -31,6 +32,7 @@ from trisect.groups import (
 )
 from trisect.intmatrix import lattice_basis
 from trisect.invariants import homology
+from trisect.words import invert_word
 
 
 def rel(*texts):
@@ -39,6 +41,105 @@ def rel(*texts):
 
 
 COMMUTATOR = (1, 2, -1, -2)
+
+
+def reference_count_homs(p, degree):
+    """Hom count by plain product enumeration, with no pruning."""
+    perms = list(permutations(range(degree)))
+    compose = lambda a, b: tuple(a[b[k]] for k in range(degree))
+    invert = lambda a: tuple(sorted(range(degree), key=lambda k: a[k]))
+    identity = tuple(range(degree))
+    total = 0
+    for images in product(perms, repeat=p.num_generators):
+        ok = True
+        for r in p.relators:
+            acc = identity
+            for t in r:
+                acc = compose(acc, images[t - 1] if t > 0 else invert(images[-t - 1]))
+            if acc != identity:
+                ok = False
+                break
+        total += ok
+    return total
+
+
+@st.composite
+def free_products(draw):
+    """Disjoint blocks of one or two generators with their own relators, and
+    up to one generator in no relator, numbered in a shuffled order."""
+    sizes = draw(st.lists(st.integers(1, 2), max_size=2))
+    n = sum(sizes) + draw(st.integers(0, 1))
+    order = draw(st.permutations(range(1, n + 1)))
+    relators, start = [], 0
+    for size in sizes:
+        gens = order[start : start + size]
+        start += size
+        tokens = st.sampled_from(gens + [-g for g in gens])
+        relators += draw(st.lists(st.lists(tokens, min_size=1, max_size=4), min_size=1, max_size=2))
+    return presentation(n, relators)
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(0, 5))
+    if n == 0:
+        return presentation(0, [])
+    tokens = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    return presentation(n, draw(st.lists(st.lists(tokens, min_size=1, max_size=8), max_size=6)))
+
+
+def reference_tietze(p, budget):
+    """The Tietze loop with every relator renormalized after every move."""
+    n = p.num_generators
+    names = list(p.generator_names())
+    rels = groups._normalize_relators(p.relators)
+    steps = 0
+    while steps < budget:
+        target = None
+        for ri, r in enumerate(rels):
+            counts = Counter(abs(t) for t in r)
+            singles = sorted(g for g, c in counts.items() if c == 1)
+            if singles:
+                target = (ri, singles[0])
+                break
+        if target is not None:
+            ri, gen = target
+            r = rels.pop(ri)
+            pos = next(idx for idx, t in enumerate(r) if abs(t) == gen)
+            r = r[pos:] + r[:pos]
+            rep = invert_word(r[1:]) if r[0] > 0 else r[1:]
+
+            def substitute(word):
+                out = []
+                for t in word:
+                    out.extend(rep if t == gen else invert_word(rep) if t == -gen else (t,))
+                return out
+
+            def renumber(t):
+                return t - 1 if t > gen else t + 1 if t < -gen else t
+
+            rels = groups._normalize_relators(
+                tuple(renumber(t) for t in substitute(w)) for w in rels
+            )
+            names.pop(gen - 1)
+            n -= 1
+            steps += 1
+            continue
+        found = None
+        for i, u in enumerate(rels):
+            for j, v in enumerate(rels):
+                if i != j and (cand := groups._shorten(u, v)) is not None:
+                    found = (i, cand)
+                    break
+            if found:
+                break
+        if found is None:
+            break
+        i, cand = found
+        rels[i] = cand
+        rels = groups._normalize_relators(rels)
+        steps += 1
+    return n, tuple(rels), tuple(names)
 
 
 class TestPresentation:
@@ -125,6 +226,38 @@ class TestTietze:
         out = tietze_simplify(p)
         assert sum(len(r) for r in out.relators) < 7
 
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(), st.sampled_from((0, 1, 5, 1000)))
+    def test_matches_reference_loop(self, p, budget):
+        q = tietze_simplify(p, budget)
+        assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget)
+
+    def test_matches_reference_loop_on_cube_vertices(self, library):
+        d = connected_sum(library["S2xS2"], library["CP2+CP2BAR"])
+        for p in build_cube(d).vertices.values():
+            q = tietze_simplify(p, 1000)
+            assert (q.num_generators, q.relators, q.names) == reference_tietze(p, 1000)
+
+    def test_renormalizes_only_changed_relators(self, monkeypatch):
+        # genus 10: S4 stabilized by alpha, beta, gamma three times, then
+        # alpha, and slid ten times; every relator renormalized after every
+        # move costs 6,146 canonical rotations here
+        d = standard_diagram("S4")
+        for fam in FAMILY_NAMES * 3 + ("alpha",):
+            d = stabilize(d, fam)
+        for t in range(10):
+            d = slide_family(d, FAMILY_NAMES[t % 3], t, (t + 1) % 10, (), 1)
+        calls = Counter()
+
+        def counted(w, _fn=groups._canonical_rotation):
+            calls["rotation"] += 1
+            return _fn(w)
+
+        monkeypatch.setattr(groups, "_canonical_rotation", counted)
+        report = verify_cube(build_cube(d), 1000)
+        assert all(f.status == "Verified" for f in report.faces)
+        assert calls["rotation"] <= 1000
+
     def test_preserves_group_invariants(self, library):
         for d in library.items():
             name, d = d
@@ -149,8 +282,6 @@ class TestCountHoms:
 
     def test_commuting_pairs_in_s3(self):
         # brute-force oracle over all 36 pairs
-        from itertools import permutations, product
-
         perms = list(permutations(range(3)))
         compose = lambda p, q: tuple(p[q[k]] for k in range(3))
         expected = sum(
@@ -170,27 +301,6 @@ class TestCountHoms:
         assert count_homs(presentation(2, [(1, 1, -2, -2, -2)]), 3) == 12
 
     def test_matches_bruteforce_reference(self):
-        # independent oracle: no pruning, plain product enumeration
-        from itertools import permutations, product
-
-        def reference(p, degree):
-            perms = list(permutations(range(degree)))
-            compose = lambda a, b: tuple(a[b[k]] for k in range(degree))
-            invert = lambda a: tuple(sorted(range(degree), key=lambda k: a[k]))
-            identity = tuple(range(degree))
-            total = 0
-            for images in product(perms, repeat=p.num_generators):
-                ok = True
-                for r in p.relators:
-                    acc = identity
-                    for t in r:
-                        acc = compose(acc, images[t - 1] if t > 0 else invert(images[-t - 1]))
-                    if acc != identity:
-                        ok = False
-                        break
-                total += ok
-            return total
-
         cases = [
             presentation(1, [(1, 1, 1)]),
             presentation(2, [COMMUTATOR]),
@@ -199,12 +309,40 @@ class TestCountHoms:
         ]
         for p in cases:
             for degree in (2, 3):
-                assert count_homs(p, degree) == reference(p, degree)
+                assert count_homs(p, degree) == reference_count_homs(p, degree)
+
+    @settings(max_examples=60, deadline=None)
+    @given(free_products(), st.sampled_from((2, 3)))
+    def test_free_products_match_reference(self, p, degree):
+        assert count_homs(p, degree) == reference_count_homs(p, degree)
+
+    def test_free_group_to_s5(self):
+        assert count_homs(presentation(3, []), 5) == 120**3
+
+    def test_free_product_of_cyclics(self):
+        # <x, y, z | x^2, y^3> into S3: 4 involutions or e, 3 cube roots of e, any z
+        assert count_homs(presentation(3, [(1, 1), (2, 2, 2)]), 3) == 4 * 3 * 6
+
+    def test_long_chain_needs_no_recursion(self):
+        # x_i x_{i+1} = 1 ties 1500 generators together; each image after
+        # the first is forced
+        chain = presentation(1500, [(i, i + 1) for i in range(1, 1500)])
+        assert count_homs(chain, 3, cap=6**1500) == 6
+
+    def test_many_free_generators(self):
+        assert count_homs(presentation(3000, []), 2, cap=2**3000) == 2**3000
 
     def test_cap_refusal(self):
         with pytest.raises(EnumerationRefused) as exc:
             count_homs(presentation(4, []), 5, cap=1000)
         assert exc.value.cost == 120**4
+
+    def test_cap_is_on_raw_cost(self):
+        # two free factors would need no enumeration, but the cap still
+        # counts every raw assignment
+        with pytest.raises(EnumerationRefused) as exc:
+            count_homs(presentation(3, [(1, 1)]), 5, cap=120**3 - 1)
+        assert exc.value.cost == 120**3
 
     def test_degree_range(self):
         with pytest.raises(ValueError):
