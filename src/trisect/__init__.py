@@ -8,7 +8,6 @@ associated finitely presented groups, and the eight-group cube of quotients.
 from .words import (
     Word,
     abelianize_word,
-    canonical_word,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -19,13 +18,8 @@ from .words import (
 from .intmatrix import (
     IntMatrix,
     lattice_basis,
-    lattice_contains,
-    lattice_intersect,
-    lattice_sum,
     left_kernel,
     quotient_invariants,
-    saturate,
-    smith_normal_form,
     symplectic_form,
     symplectic_pairing,
 )

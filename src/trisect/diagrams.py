@@ -10,13 +10,12 @@ on the algebraic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .intmatrix import IntMatrix, _matrix, quotient_invariants, symplectic_pairing
 from .words import (
     Word,
     abelianize_word,
-    canonical_word,
     conjugate,
     cyclic_reduce,
     invert_word,
@@ -92,14 +91,21 @@ class TrisectionDiagram:
         return (self.alpha, self.beta, self.gamma)
 
 
+def _system(words, genus: int) -> CutSystem:
+    """Unchecked :class:`CutSystem` from cyclically reduced words known to form one."""
+    return CutSystem(genus, tuple(Curve(w, abelianize_word(w, genus)) for w in words))
+
+
 def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     """Validate curve words and build a :class:`CutSystem`.
 
     Checks, in order: exactly ``genus`` curves; generator indices within the
     genus; all pairwise algebraic intersection numbers zero; the homology
     span is a primitive sublattice of full rank g (all Smith divisors 1).
+    This and the constructors built on it are where outside words enter;
+    the moves below keep a cut system valid by construction.
     """
-    words = [canonical_word(w, cyclic=True) for w in word_seq]
+    words = [cyclic_reduce(w) for w in word_seq]
     if len(words) != genus:
         raise InvalidCutSystemError(
             "count", f"expected {genus} curves, got {len(words)}", family=family
@@ -111,8 +117,8 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                 f"token index {max_index(w)} exceeds genus {genus}",
                 family=family,
             )
-    curves = tuple(Curve(w, abelianize_word(w, genus)) for w in words)
-    rows = [c.homology for c in curves]
+    system = _system(words, genus)
+    rows = [c.homology for c in system.curves]
     for i in range(genus):
         for j in range(i + 1, genus):
             val = symplectic_pairing(rows[i], rows[j], genus)
@@ -124,7 +130,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                     pair=(i + 1, j + 1),
                     value=val,
                 )
-    free, torsion = quotient_invariants(2 * genus, _matrix(tuple(rows), 2 * genus))
+    free, torsion = quotient_invariants(2 * genus, system.matrix())
     if free != genus or torsion:
         raise InvalidCutSystemError(
             "imprimitive",
@@ -133,7 +139,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
             family=family,
             divisors=torsion,
         )
-    return CutSystem(genus, curves)
+    return system
 
 
 def heegaard_diagram(genus: int, first_words, second_words) -> HeegaardDiagram:
@@ -157,9 +163,10 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
     """Slide curve ``i`` over curve ``j`` (0-based indices).
 
     Curve i's word becomes ``w_i * (c * w_j^sign * c^-1)`` cyclically
-    reduced, so homology row i becomes ``row_i + sign*row_j``.  Row
-    operations preserve both cut-system conditions, hence the result is
-    always valid.
+    reduced, so homology row i becomes ``row_i + sign*row_j``: reduction and
+    conjugation leave exponent sums unchanged.  Row operations preserve both
+    cut-system conditions, so the result is built directly, with the other
+    curves reused, and is not validated again.
     """
     g = system.genus
     if not (0 <= i < g and 0 <= j < g):
@@ -171,21 +178,18 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
     conjugator = tuple(conjugator)
     if max_index(conjugator) > g:
         raise ValueError(f"conjugator index exceeds genus {g}")
-    wj = system.curves[j].word
+    curves = list(system.curves)
+    wj = curves[j].word
     if sign == -1:
         wj = invert_word(wj)
-    new_word = cyclic_reduce(system.curves[i].word + conjugate(wj, conjugator))
-    words = list(system.words())
-    words[i] = new_word
-    return cut_system(words, g)
+    row = tuple(a + sign * b for a, b in zip(curves[i].homology, curves[j].homology))
+    curves[i] = Curve(cyclic_reduce(curves[i].word + conjugate(wj, conjugator)), row)
+    return CutSystem(g, tuple(curves))
 
 
 def slide_family(d: TrisectionDiagram, family: str, i: int, j: int, conjugator=(), sign: int = 1) -> TrisectionDiagram:
     """Apply :func:`handle_slide` to one family of a trisection diagram."""
-    new = handle_slide(d.family(family), i, j, conjugator, sign)
-    systems = {name: d.family(name) for name in FAMILY_NAMES}
-    systems[family] = new
-    return TrisectionDiagram(d.genus, systems["alpha"], systems["beta"], systems["gamma"])
+    return replace(d, **{family: handle_slide(d.family(family), i, j, conjugator, sign)})
 
 
 def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
@@ -194,25 +198,32 @@ def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
     The chosen family gains the meridian curve b_{g+1}; the other two
     families gain the longitude a_{g+1}.  The Euler characteristic of the
     encoded 4-manifold is unchanged: the genus and the total of the three
-    pair ranks both grow by one.
+    pair ranks both grow by one.  A curve on the new handle pairs to zero
+    with the old curves and extends a primitive span, so each family stays a
+    cut system and is built without validation.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}")
     g = d.genus + 1
-    fams = {}
-    for name in FAMILY_NAMES:
-        kind = "b" if name == family else "a"
-        fams[name] = d.family(name).words() + ((token_code(kind, g),),)
-    return trisection_diagram(g, fams["alpha"], fams["beta"], fams["gamma"])
+    fams = (
+        _system(s.words() + ((token_code("b" if name == family else "a", g),),), g)
+        for name, s in zip(FAMILY_NAMES, d.families())
+    )
+    return TrisectionDiagram(g, *fams)
 
 
 def connected_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
-    """Diagrammatic connected sum: concatenate families, shifting d2's indices."""
-    fams = {}
-    for name in FAMILY_NAMES:
-        shifted = tuple(shift_indices(w, d1.genus) for w in d2.family(name).words())
-        fams[name] = d1.family(name).words() + shifted
-    return trisection_diagram(d1.genus + d2.genus, fams["alpha"], fams["beta"], fams["gamma"])
+    """Diagrammatic connected sum: concatenate families, shifting d2's indices.
+
+    Each family is the block sum of two cut systems on disjoint handles,
+    hence a cut system, and is built without validation.
+    """
+    g = d1.genus + d2.genus
+    fams = (
+        _system(s1.words() + tuple(shift_indices(w, d1.genus) for w in s2.words()), g)
+        for s1, s2 in zip(d1.families(), d2.families())
+    )
+    return TrisectionDiagram(g, *fams)
 
 
 def heegaard_pairs(d: TrisectionDiagram) -> tuple[HeegaardDiagram, HeegaardDiagram, HeegaardDiagram]:

@@ -268,10 +268,12 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     get their images by backtracking in increasing order with an explicit
     stack; a relator is checked as soon as all generators it mentions are
     assigned.  Refuses when the raw assignment count (degree!)^n of the
-    whole presentation exceeds ``cap``.
+    whole presentation exceeds ``cap``; a negative ``cap`` is a usage error.
     """
     if not 1 <= degree <= 5:
         raise ValueError("degree must be between 1 and 5")
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     n = p.num_generators
     size = math.factorial(degree)
     cost = size**n

@@ -1,4 +1,4 @@
-"""Exact integer matrices: Smith normal form, lattice arithmetic, symplectic pairing.
+"""Exact integer matrices: Smith normal form, lattice bases, symplectic pairing.
 
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
@@ -37,10 +37,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
 
     def transpose(self) -> "IntMatrix":
         if self.nrows == 0:
@@ -114,11 +110,12 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
 
     Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
     of D (its length is the rank), then the transforms ``want`` names, in
-    its order, out of "u", "v", "vinv": unimodular U, V with U*mat*V = D,
-    and the inverse of V.  A transform not asked for is never updated.
-    Pivots are chosen by smallest nonzero absolute value, ties broken by
-    lowest row then column, so the output is deterministic and a transform
-    does not depend on which others were asked for.
+    its order, out of "u" and "vinv": unimodular U and the inverse of a
+    unimodular V with U*mat*V = D, that is U*mat = D*V^-1.  A transform not
+    asked for is never updated.  Pivots are chosen by smallest nonzero
+    absolute value, ties broken by lowest row then column, so the output is
+    deterministic and a transform does not depend on which others were
+    asked for.
     """
     m, n = mat.nrows, mat.ncols
     d = [list(r) for r in mat.rows]
@@ -126,11 +123,10 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     def eye(name, k):
         return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
 
-    # U and V^-1 take row operations, V column operations; V is stored
-    # transposed, so every update is a row update.
-    u, v_t, vinv = eye("u", m), eye("v", n), eye("vinv", n)
+    # U and V^-1 take row operations: a column operation on D is the
+    # inverse row operation on V^-1.
+    u, vinv = eye("u", m), eye("vinv", n)
     by_rows = [x for x in (d, u) if x is not None]
-    by_cols = [x for x in (v_t, vinv) if x is not None]
 
     def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
         rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
@@ -151,14 +147,12 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for x in by_cols:
-            x[i], x[j] = x[j], x[i]
+        if vinv is not None:
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, q):  # col_i += q * col_j
         for r in d:
             r[i] += q * r[j]
-        if v_t is not None:
-            axpy(v_t, i, j, q)
         if vinv is not None:
             axpy(vinv, j, i, -q)
 
@@ -203,21 +197,11 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
             row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
             pivot = find_pivot(t)
         t += 1
-    tracked = {"u": u, "v": v_t, "vinv": vinv}
+    tracked = {"u": u, "vinv": vinv}
     out = [tuple(d[i][i] for i in range(t))]
     for name in want:
-        rows = zip(*v_t) if name == "v" else tracked[name]
-        out.append(_matrix(tuple(map(tuple, rows)), len(tracked[name])))
+        out.append(_matrix(tuple(map(tuple, tracked[name])), len(tracked[name])))
     return tuple(out)
-
-
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(U, D, V) with U, V unimodular and U*mat*V = D = diag(d1 | d2 | ...) >= 0."""
-    divisors, u, v = _smith(mat, ("u", "v"))
-    rows = [[0] * mat.ncols for _ in range(mat.nrows)]
-    for i, x in enumerate(divisors):
-        rows[i][i] = x
-    return u, _matrix(tuple(map(tuple, rows)), mat.ncols), v
 
 
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -289,13 +273,6 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
     return _matrix(tuple(map(tuple, basis)), n)
 
 
-def lattice_contains(mat: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is ``vec`` in the integer row span of ``mat``?"""
-    if len(vec) != mat.ncols:
-        raise ValueError(f"vector has length {len(vec)}, lattice lives in rank {mat.ncols}")
-    return _in_lattice(lattice_basis(mat), vec)
-
-
 def _in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
     """Is ``vec`` in the lattice whose canonical basis is ``basis``?"""
     v = [int(x) for x in vec]
@@ -316,37 +293,6 @@ def left_kernel(mat: IntMatrix) -> IntMatrix:
     """Canonical basis of the integer solutions of x @ mat = 0."""
     divisors, u = _smith(mat, ("u",))
     return lattice_basis(_matrix(u.rows[len(divisors) :], mat.nrows))
-
-
-def lattice_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Canonical basis of rowspan(a) + rowspan(b)."""
-    return lattice_basis(stack_rows(a, b))
-
-
-def lattice_intersect(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Canonical basis of rowspan(a) ∩ rowspan(b).
-
-    Solves x@a = y@b through the kernel of the stacked matrix, so the result
-    is exact over the integers.
-    """
-    if a.ncols != b.ncols:
-        raise ValueError("column counts differ")
-    n = a.ncols
-    if a.nrows == 0 or b.nrows == 0:
-        return IntMatrix([], n)
-    kern = left_kernel(stack_rows(a, b))
-    rows = []
-    for z in kern.rows:
-        rows.append([sum(z[i] * a.rows[i][j] for i in range(a.nrows)) for j in range(n)])
-    return lattice_basis(IntMatrix(rows, n))
-
-
-def saturate(a: IntMatrix) -> IntMatrix:
-    """Canonical basis of the saturation (Q-span ∩ Z^n) of the row lattice."""
-    if a.nrows == 0:
-        return IntMatrix([], a.ncols)
-    divisors, vinv = _smith(a, ("vinv",))
-    return lattice_basis(_matrix(vinv.rows[: len(divisors)], a.ncols))
 
 
 def symplectic_form(genus: int) -> IntMatrix:

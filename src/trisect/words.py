@@ -65,11 +65,6 @@ def cyclic_reduce(tokens: Iterable[int]) -> Word:
     return w[lo:hi]
 
 
-def canonical_word(tokens: Iterable[int], cyclic: bool = False) -> Word:
-    """Canonical form of a word; with ``cyclic`` the word is treated as a loop."""
-    return cyclic_reduce(tokens) if cyclic else free_reduce(tokens)
-
-
 def invert_word(word: Iterable[int]) -> Word:
     """The inverse word: reversed tokens, each inverted."""
     return tuple(-t for t in reversed(tuple(word)))

@@ -176,6 +176,17 @@ def test_homcount_cap_refused_exits_3():
     assert "refused" in res.stderr
 
 
+def test_homcount_cap_zero_refused_negative_cap_usage_error():
+    path = str(FIXTURES / "cp2.tri")
+    zero = run_cli("homcount", path, "--target", "s3", "--cap", "0")
+    assert zero.returncode == 3
+    assert zero.stderr == "refused: enumeration cost 1 exceeds cap 0\n"
+    negative = run_cli("homcount", path, "--target", "s3", "--cap", "-1")
+    assert negative.returncode == 2
+    assert negative.stdout == ""
+    assert negative.stderr == "error: cap must be nonnegative\n"
+
+
 def test_cube_summary_and_dot():
     summary = run_cli("cube", str(FIXTURES / "cp2.tri"))
     assert summary.returncode == 0

@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import trisect.diagrams
+from conftest import moved_diagrams, random_move_sequence
 from trisect.diagrams import (
     InvalidCutSystemError,
     connected_sum,
     cut_system,
     handle_slide,
     heegaard_pairs,
+    slide_family,
     stabilize,
     standard_diagram,
+    trisection_diagram,
 )
 from trisect.intmatrix import IntMatrix, symplectic_pairing
 from trisect.invariants import k_triple
@@ -92,8 +97,9 @@ class TestHandleSlide:
             handle_slide(sys, 0, 1, conjugator=parse_word("a3"))
 
     def test_random_slides_preserve_validity(self):
-        # row operations keep the span Lagrangian and primitive; cut_system
-        # revalidates on every slide, so it raising would fail this test.
+        # row operations keep the span Lagrangian and primitive, so a slide
+        # builds its result without validation; check each step's rows
+        # against cut_system and its pairings directly.
         # (word lengths roughly add per slide, so keep the chain short)
         rng = random.Random(21)
         sys = cut_system(words("a1 b1", "a2 B2", "a3"), 3)
@@ -103,12 +109,47 @@ class TestHandleSlide:
                 rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(0, 2))
             )
             sys = handle_slide(sys, i, j, conj, rng.choice((1, -1)))
+            assert sys == cut_system(sys.words(), 3)
             pairs = [
                 symplectic_pairing(sys.curves[i].homology, sys.curves[j].homology, 3)
                 for i in range(3)
                 for j in range(3)
             ]
             assert set(pairs) == {0}
+
+
+class TestMovesBuildCutSystems:
+    """Moves build their cut systems without validating; the results must
+    equal what validation from the words alone gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(moved_diagrams(max_moves=6), moved_diagrams(max_moves=6), st.integers(0, 2**32))
+    def test_families_equal_validated_rebuild(self, d1, d2, seed):
+        total = connected_sum(d1, d2)
+        moved = random_move_sequence(total, random.Random(seed), max_moves=6)[0]
+        for d in (d1, d2, total, moved):
+            for s in d.families():
+                assert s == cut_system(s.words(), d.genus)
+
+    def test_moves_make_no_cut_system_calls(self, monkeypatch):
+        calls = []
+        checked = trisect.diagrams.cut_system
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return checked(*args, **kwargs)
+
+        monkeypatch.setattr(trisect.diagrams, "cut_system", counting)
+        d = trisection_diagram(1, words("a1"), words("b1"), words("a1 b1"))
+        other = standard_diagram("CP2BAR")
+        assert len(calls) == 6  # the counter sees calls from inside the module
+        calls.clear()
+        d = stabilize(d, "beta")
+        d = slide_family(d, "gamma", 0, 1, words("b2")[0], -1)
+        d = slide_family(d, "alpha", 1, 0)
+        d = connected_sum(d, stabilize(other, "alpha"))
+        assert d.genus == 4
+        assert calls == []
 
 
 class TestStabilize:

@@ -348,6 +348,10 @@ class TestCountHoms:
         with pytest.raises(ValueError):
             count_homs(presentation(1, []), 6)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            count_homs(presentation(0, []), 3, cap=-1)
+
     def test_diagram_hom_count_separates(self):
         assert diagram_hom_count(standard_diagram("S4"), 3) == 1
         assert diagram_hom_count(standard_diagram("S1xS3"), 3) == 6

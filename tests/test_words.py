@@ -7,7 +7,6 @@ import trisect.words
 
 from trisect.words import (
     abelianize_word,
-    canonical_word,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -29,18 +28,18 @@ def test_docstring_examples():
 
 
 def test_free_cancellation():
-    assert canonical_word(parse_word("a1 A1 b1")) == parse_word("b1")
+    assert free_reduce(parse_word("a1 A1 b1")) == parse_word("b1")
 
 
 def test_cyclic_cancellation():
     w = parse_word("A1 b1 a1")
-    assert canonical_word(w, cyclic=False) == w
-    assert canonical_word(w, cyclic=True) == parse_word("b1")
+    assert free_reduce(w) == w
+    assert cyclic_reduce(w) == parse_word("b1")
 
 
 def test_identity_word():
-    assert canonical_word(()) == ()
-    assert canonical_word((), cyclic=True) == ()
+    assert free_reduce(()) == ()
+    assert cyclic_reduce(()) == ()
 
 
 def test_invert_examples():
@@ -85,9 +84,9 @@ def test_shift_indices():
 
 @given(words)
 def test_canonical_idempotent_and_shorter(w):
-    for cyclic in (False, True):
-        c = canonical_word(w, cyclic)
-        assert canonical_word(c, cyclic) == c
+    for reduce in (free_reduce, cyclic_reduce):
+        c = reduce(w)
+        assert reduce(c) == c
         assert len(c) <= len(w)
 
 
