@@ -46,7 +46,6 @@ from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
     PoincareReport,
-    UnsupportedIntersectionForm,
     euler_characteristic,
     form_invariants,
     homology,

@@ -33,7 +33,6 @@ from .groups import (
 from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
-    UnsupportedIntersectionForm,
     _curve_smith,
     _euler_and_homology,
     _kernel_form,
@@ -148,6 +147,8 @@ def _cmd_standard(args) -> int:
 def _cmd_homcount(args) -> int:
     d = _read_trisection(args.file)
     degree = int(args.target[1:])
+    if args.cap < 0:  # a usage error, reported before the simplification
+        raise ValueError("cap must be nonnegative")
     p = tietze_simplify(pi1_presentation(d), args.simplify)
     count = count_homs(p, degree, cap=args.cap)
     print(f"target: S{degree}")
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidCutSystemError, NotHomologicallyStandard, UnsupportedIntersectionForm) as exc:
+    except (InvalidCutSystemError, NotHomologicallyStandard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EnumerationRefused as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
-from .intmatrix import IntMatrix, _in_lattice, lattice_basis, quotient_invariants
+from .intmatrix import IntMatrix, _matrix, lattice_basis, quotient_invariants
 from .invariants import k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
@@ -137,7 +137,8 @@ def abelianize_presentation(p: Presentation) -> tuple[int, tuple[int, ...]]:
 def _canonical_rotation(w: Word) -> Word:
     """Lexicographically least rotation of w or of its inverse."""
     n = len(w)  # rotations are the length-n slices of the doubled word
-    return min([v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)], default=())
+    # a generator, so only the best rotation so far is alive: O(n) memory
+    return min((v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)), default=())
 
 
 def _normalize_relators(relators, normal=()) -> list[Word]:
@@ -427,7 +428,9 @@ class EdgeCheck:
     source: str
     target: str
     surjectivity: str  # "exact", "abelian" or "failed"
-    relators_mapped: bool  # images of source relators lie in the target relator lattice, abelianized
+    # images of the source relators lie in the target's relator lattice, so
+    # the map is a homomorphism on abelianizations (a necessary condition)
+    relators_mapped: bool
 
 
 @dataclass(frozen=True)
@@ -443,7 +446,8 @@ class CubeReport:
 
     @property
     def ok(self) -> bool:
-        return all(e.surjectivity != "failed" for e in self.edges) and all(
+        """No map failed its surjectivity or relator check, and no face failed."""
+        return all(e.surjectivity != "failed" and e.relators_mapped for e in self.edges) and all(
             f.status != "Failed" for f in self.faces
         )
 
@@ -464,7 +468,9 @@ def _check_edge(
     def image(r):  # left unreduced: cancellation keeps exponent sums
         return [x for t in r for x in (images[t - 1] if t > 0 else invert_word(images[-t - 1]))]
 
-    mapped = all(_in_lattice(tgt_basis, _exponent_vector(image(r), nt)) for r in src.relators)
+    # lattice bases are canonical: adding the images keeps the basis iff they lie in it
+    image_rows = tuple(tuple(_exponent_vector(image(r), nt)) for r in src.relators)
+    mapped = lattice_basis(_matrix(tgt_basis.rows + image_rows, nt)) == tgt_basis
     return EdgeCheck(edge.source, edge.target, surjectivity, mapped)
 
 

@@ -191,6 +191,8 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
                 continue
+            if p == 1:  # 1 divides everything: no row can be non-divisible
+                break
             bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if bad is None:
                 break
@@ -271,22 +273,6 @@ def lattice_basis(mat: IntMatrix) -> IntMatrix:
             if q:
                 basis[above] = [basis[above][k] - q * basis[idx][k] for k in range(n)]
     return _matrix(tuple(map(tuple, basis)), n)
-
-
-def _in_lattice(basis: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is ``vec`` in the lattice whose canonical basis is ``basis``?"""
-    v = [int(x) for x in vec]
-    pivots = {next(k for k, x in enumerate(r) if x): r for r in basis.rows}
-    for j in range(len(v)):
-        if not v[j]:
-            continue
-        r = pivots.get(j)
-        if r is None or v[j] % r[j]:
-            return False
-        q = v[j] // r[j]
-        for k in range(j, len(v)):
-            v[k] -= q * r[k]
-    return not any(v)
 
 
 def left_kernel(mat: IntMatrix) -> IntMatrix:

@@ -39,14 +39,6 @@ class NotHomologicallyStandard(Exception):
         super().__init__(f"stacked curve span has torsion {list(self.divisors)}{where}")
 
 
-class UnsupportedIntersectionForm(Exception):
-    """The intersection-form algorithm needs torsion-free H1."""
-
-    def __init__(self, torsion):
-        self.torsion = tuple(torsion)
-        super().__init__(f"H1 has torsion {list(self.torsion)}; form computation unsupported")
-
-
 def pair_k(h: HeegaardDiagram) -> int:
     """Number k with H1 of the encoded 3-manifold equal to Z^k.
 
@@ -114,10 +106,11 @@ def _euler_and_homology(
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
-    """Gram matrix of the intersection pairing on a basis of H2.
+    """Gram matrix of the intersection pairing on a basis of H2 / Tors.
 
-    Refuses a diagram with a non-standard pair, like :func:`k_triple`, and
-    one whose H1 has torsion.  See :func:`_kernel_form` for the model.
+    The form is unimodular, of size b2, for every valid diagram, H1 torsion
+    or not.  Refuses a diagram with a non-standard pair, like
+    :func:`k_triple`.  See :func:`_kernel_form` for the model.
     """
     k_triple(d)
     return _kernel_form(d, _curve_smith(d, ("u",)))
@@ -127,20 +120,21 @@ def _kernel_form(d: TrisectionDiagram, curve_smith: tuple) -> IntMatrix:
     """The intersection form from one integer kernel (Feller-Klug-Schirmer-Zemke).
 
     A row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
-    matrix [L_beta; L_alpha; L_gamma] lifts the H2 class x = z_beta L_beta,
-    whose alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  The
-    pairing Q_K[z, w] = <x_z, -w_alpha L_alpha> vanishes on the kernel of
-    K -> H2, and with H1 torsion-free the form on H2 is unimodular, so
-    H2 = K / rad(Q_K).  The Gram matrix is taken on the complement of the
-    radical given by its Smith form, so it is a deterministic function of
-    the diagram; only its congruence class is an invariant.  One Smith form,
-    ``curve_smith = _curve_smith(d, ("u",))``, gives both the H1 torsion and K.
+    matrix [L_beta; L_alpha; L_gamma] gives x = z_beta L_beta, whose
+    alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  For every
+    trisection, FKSZ (arXiv:1711.04762) identify H2 with
+    (L_beta ∩ (L_alpha + L_gamma)) / (L_beta ∩ L_alpha + L_beta ∩ L_gamma)
+    and the form with <x, y_alpha>, so z -> x maps K onto H2 and
+    Q_K[z, w] = <x_z, -w_alpha L_alpha> is the form pulled back.  By
+    Poincare duality the form's radical on H2 is exactly its torsion, so
+    K / rad(Q_K) = H2 / Tors, unimodular, whether or not H1 has torsion.
+    The Gram matrix is taken on the complement of the radical given by its
+    Smith form, so it is a deterministic function of the diagram; only its
+    congruence class is an invariant.  One Smith form,
+    ``curve_smith = _curve_smith(d, ("u",))``, gives both H1 and K.
     """
     g = d.genus
     divisors, u = curve_smith
-    torsion = tuple(x for x in divisors if x > 1)
-    if torsion:
-        raise UnsupportedIntersectionForm(torsion)
     kern = lattice_basis(_matrix(u.rows[len(divisors) :], 3 * g))
     la, lb = d.alpha.matrix(), d.beta.matrix()
     lifts = _matrix(tuple(z[:g] for z in kern.rows), g) @ lb

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from trisect import connected_sum, slide_family, stabilize, standard_diagram
+from trisect import connected_sum, parse, slide_family, stabilize, standard_diagram
 from trisect.diagrams import FAMILY_NAMES
 from trisect.words import token_code
 
@@ -50,13 +50,17 @@ def random_move_sequence(d, rng: random.Random, max_moves: int = 10):
 
 
 @st.composite
-def moved_diagrams(draw, max_moves: int = 8):
+def moved_diagrams(draw, max_moves: int = 8, torsion: bool = False):
     """A library diagram, or the connected sum of two, after random slides
-    and stabilizations."""
+    and stabilizations.  With ``torsion``, about half the draws sum
+    ``h1_torsion.tri`` (H1 = H2 = Z/2, b2 = 0) on one side before the moves."""
     names = st.sampled_from(sorted(LIBRARY_BUILDERS))
     d = LIBRARY_BUILDERS[draw(names)]()
     if draw(st.booleans()):
         d = connected_sum(d, LIBRARY_BUILDERS[draw(names)]())
+    if torsion and draw(st.booleans()):
+        t = parse((FIXTURES / "h1_torsion.tri").read_text())
+        d = connected_sum(d, t) if draw(st.booleans()) else connected_sum(t, d)
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     return random_move_sequence(d, rng, max_moves=max_moves)[0]
 

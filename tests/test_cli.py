@@ -109,24 +109,23 @@ def test_form_matrix():
     assert res.stdout == "size: 2\nrow: 1 0\nrow: 0 -1\n"
 
 
-H1_TORSION_ERROR = "error: H1 has torsion [2]; form computation unsupported\n"
-
-
-def test_invariants_h1_torsion_prints_homology_then_refuses_form():
+def test_invariants_h1_torsion_prints_full_report():
+    # the form lives on H2 / Tors, so H1 torsion needs no refusal; here b2 = 0
     res = run_cli("invariants", str(FIXTURES / "h1_torsion.tri"))
-    assert res.returncode == 1
+    assert res.returncode == 0
     assert res.stdout == (
         "genus: 3\nk_alpha_beta: 1\nk_beta_gamma: 1\nk_gamma_alpha: 1\neuler: 2\n"
         "H0: Z\nH1: Z/2\nH2: Z/2\nH3: 0\nH4: Z\n"
+        "form_rank: 0\nform_signature: 0\nform_parity: even\n"
     )
-    assert res.stderr == H1_TORSION_ERROR
+    assert res.stderr == ""
 
 
-def test_form_h1_torsion_refused():
+def test_form_h1_torsion_prints_empty_form():
     res = run_cli("form", str(FIXTURES / "h1_torsion.tri"))
-    assert res.returncode == 1
-    assert res.stdout == ""
-    assert res.stderr == H1_TORSION_ERROR
+    assert res.returncode == 0
+    assert res.stdout == "size: 0\n"
+    assert res.stderr == ""
 
 
 def test_stabilize_prints_canonical_diagram():

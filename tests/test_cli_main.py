@@ -1,0 +1,88 @@
+"""In-process tests of ``cli.main``: what a subprocess cannot show (which
+functions a command called) or would make too slow (fuzzing)."""
+
+import contextlib
+import io
+from collections import Counter
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import trisect.cli as cli
+from conftest import FIXTURES
+
+
+def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(*args, _fn=cli.tietze_simplify):
+        calls["tietze_simplify"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(cli, "tietze_simplify", counted)
+    path = str(FIXTURES / "cp2.tri")
+    assert cli.main(["homcount", path, "--target", "s3", "--cap", "-1"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: cap must be nonnegative\n")
+    assert calls["tietze_simplify"] == 0
+    # the counter sees the call a valid cap makes
+    assert cli.main(["homcount", path, "--target", "s3", "--cap", "0"]) == 3
+    assert calls["tietze_simplify"] == 1
+
+
+FIXTURE_LINES = tuple(tuple(p.read_text().splitlines()) for p in sorted(FIXTURES.glob("*.tri")))
+# tokens that break a line's syntax, arity or range
+JUNK = ("|", "a9", "x", "#", "genus", "-1", "alpha", "")
+# small budgets and caps keep each call short on any mutation
+COMMANDS = (
+    ["validate"],
+    ["invariants"],
+    ["form"],
+    ["pi1", "--simplify", "50"],
+    ["homcount", "--target", "s3", "--simplify", "50", "--cap", "50000"],
+    ["cube", "--verify", "50"],
+    ["poincare-check", "--budget", "50"],
+    ["stabilize", "--family", "beta"],
+    ["slide", "--family", "gamma", "--curve", "1", "--over", "2", "--conj", "a1"],
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture with 1-4 tokens deleted, inserted or replaced.  Most edits put
+    in-range letters into curve lists, so many mutants still parse and reach
+    the invariants; the rest may hit any line or insert junk."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(FIXTURE_LINES))]
+    genus = next((int(w[1]) for w in lines if w[0] == "genus"), 0)
+    letters = [f"{c}{i}" for c in "abAB" for i in range(1, genus + 1)] or list(JUNK)
+    curve_lines = [w for w in lines if w[0] in ("alpha", "beta", "gamma")] or lines
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        wild = draw(st.integers(min_value=0, max_value=4)) == 0
+        words = draw(st.sampled_from(lines if wild else curve_lines))
+        i = draw(st.integers(min_value=0 if wild else min(1, len(words)), max_value=len(words)))
+        token = draw(st.sampled_from(JUNK if wild else letters))
+        op = draw(st.sampled_from(("delete", "insert", "replace")))
+        if op == "delete":
+            del words[i : i + 1]
+        elif op == "insert":
+            words.insert(i, token)
+        else:
+            words[i : i + 1] = [token]
+    return "\n".join(" ".join(words) for words in lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_fixtures())
+def test_mutated_fixtures_exit_cleanly(text):
+    # every outcome is a documented exit code with a one-line message, never a traceback
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            mock.patch("sys.stdin", io.StringIO(text)),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            code = cli.main([command[0], "-", *command[1:]])
+        assert code in (0, 1, 2, 3), (command, code)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue().count("\n") <= 1, (command, err.getvalue())

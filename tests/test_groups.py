@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -13,12 +14,12 @@ from trisect.groups import (
     CUBE_FACES,
     CUBE_VERTICES,
     CubeEdge,
+    EdgeCheck,
     EnumerationRefused,
     FaceCheck,
     GroupTrisectionCube,
     MalformedCubeError,
     Presentation,
-    _check_edge,
     _pushout_presentation,
     abelianize_presentation,
     build_cube,
@@ -30,7 +31,7 @@ from trisect.groups import (
     tietze_simplify,
     verify_cube,
 )
-from trisect.intmatrix import lattice_basis
+from trisect.intmatrix import IntMatrix, lattice_basis
 from trisect.invariants import homology
 from trisect.words import invert_word
 
@@ -258,6 +259,26 @@ class TestTietze:
         assert all(f.status == "Verified" for f in report.faces)
         assert calls["rotation"] <= 1000
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=3).flatmap(lambda x: st.sampled_from((x, -x)))))
+    def test_canonical_rotation_matches_list_form(self, w):
+        w = tuple(w)
+        n = len(w)
+        rotations = [v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)]
+        assert groups._canonical_rotation(w) == min(rotations, default=())
+
+    def test_canonical_rotation_memory_is_linear(self):
+        # holding all 2n rotations of a 3,000-letter word would take about 144 MB
+        rng = random.Random(7)
+        w = tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(3000))
+        tracemalloc.start()
+        try:
+            groups._canonical_rotation(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_preserves_group_invariants(self, library):
         for d in library.items():
             name, d = d
@@ -429,13 +450,30 @@ class TestCube:
         assert failed[0].vertices[-1] == "sector_alpha_beta"
         assert not report.ok
 
+    def test_edge_not_a_homomorphism_is_not_ok(self):
+        # a1 -> b1 and b1 -> b1 on sector_alpha_beta -> total: the relator a1
+        # goes to b1, which generates total = Z, yet every face still closes
+        cube = build_cube(standard_diagram("S1xS3"))
+        edges = tuple(
+            CubeEdge(e.source, e.target, ((2,), (2,)))
+            if (e.source, e.target) == ("sector_alpha_beta", "total")
+            else e
+            for e in cube.edges
+        )
+        report = verify_cube(GroupTrisectionCube(cube.vertices, edges), 1000)
+        assert all(f.status == "Verified" for f in report.faces)
+        bad = [e for e in report.edges if not e.relators_mapped]
+        assert [(e.source, e.target) for e in bad] == [("sector_alpha_beta", "total")]
+        assert not report.ok
+
     def test_total_vertex_is_pi1(self, library):
         for name, d in library.items():
             assert build_cube(d).vertices["total"] == pi1_presentation(d), name
 
     def test_work_per_cube(self, monkeypatch):
         # each distinct sink is Tietze-reduced once, each target's relator
-        # basis is built once, and identical reduced forms need no abelianization
+        # basis is built once (7) and extended once per edge check (12), and
+        # identical reduced forms need no abelianization
         cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
         calls = Counter()
         for name in ("tietze_simplify", "abelianize_presentation", "lattice_basis"):
@@ -449,7 +487,7 @@ class TestCube:
         assert all(f.status == "Verified" for f in report.faces)
         assert calls["tietze_simplify"] <= 10
         assert calls["abelianize_presentation"] == 0
-        assert calls["lattice_basis"] == 7
+        assert calls["lattice_basis"] == 19
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
@@ -460,6 +498,30 @@ class TestCube:
         for c in [cube] + [corrupt_sector(cube, s) for s in sectors]:
             report = verify_cube(c, budget)
             assert (report.edges, report.faces) == reference_verify(c, budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(), st.data())
+    def test_perturbed_edges_match_reference(self, d, data):
+        # one image replaced by a random word: the edge report matches the
+        # reference, and ok needs every edge mapped
+        cube = build_cube(d)
+        k = data.draw(st.integers(min_value=0, max_value=len(cube.edges) - 1))
+        e = cube.edges[k]
+        n = cube.vertices[e.target].num_generators
+        if e.images and n:
+            letters = st.integers(min_value=1, max_value=n).flatmap(lambda x: st.sampled_from((x, -x)))
+            images = list(e.images)
+            i = data.draw(st.integers(min_value=0, max_value=len(images) - 1))
+            images[i] = tuple(data.draw(st.lists(letters, max_size=3)))
+            e = CubeEdge(e.source, e.target, tuple(images))
+        cube = GroupTrisectionCube(cube.vertices, cube.edges[:k] + (e,) + cube.edges[k + 1 :])
+        report = verify_cube(cube, 5)
+        v = cube.vertices
+        assert report.edges == tuple(reference_edge(x, v[x.source], v[x.target]) for x in cube.edges)
+        assert report.ok == (
+            all(x.surjectivity != "failed" and x.relators_mapped for x in report.edges)
+            and all(f.status != "Failed" for f in report.faces)
+        )
 
     def test_malformed_cube_rejected(self):
         cube = build_cube(standard_diagram("CP2"))
@@ -480,14 +542,50 @@ class TestCube:
             verify_cube(bad_arity)
 
 
+def in_lattice(basis, vec):
+    """Is ``vec`` in the lattice whose canonical (Hermite) basis is ``basis``?
+    Reduces ``vec`` by the basis row at each pivot column, left to right."""
+    v = list(vec)
+    pivots = {next(k for k, x in enumerate(r) if x): r for r in basis.rows}
+    for j in range(len(v)):
+        if not v[j]:
+            continue
+        r = pivots.get(j)
+        if r is None or v[j] % r[j]:
+            return False
+        q = v[j] // r[j]
+        for k in range(j, len(v)):
+            v[k] -= q * r[k]
+    return not any(v)
+
+
+def reference_edge(e, src, tgt):
+    """An edge check by the plain procedure: surjective onto the generators,
+    else onto the abelianization; each relator's image tested for membership."""
+    n = tgt.num_generators
+
+    def vector(word):
+        return [sum((t == i) - (t == -i) for t in word) for i in range(1, n + 1)]
+
+    def image(r):
+        return [x for t in r for x in (e.images[t - 1] if t > 0 else invert_word(e.images[-t - 1]))]
+
+    if all((i,) in e.images or (-i,) in e.images for i in range(1, n + 1)):
+        surjectivity = "exact"
+    else:
+        span = lattice_basis(IntMatrix([vector(w) for w in e.images + tgt.relators], n))
+        surjectivity = "abelian" if span == IntMatrix.identity(n) else "failed"
+    basis = lattice_basis(relator_matrix(tgt))
+    mapped = all(in_lattice(basis, vector(image(r))) for r in src.relators)
+    return EdgeCheck(e.source, e.target, surjectivity, mapped)
+
+
 def reference_verify(cube, budget):
-    """Edge and face checks by the plain procedure: a relator basis per edge,
-    and each face abelianized raw before both sides are Tietze-reduced."""
+    """Edge and face checks by the plain procedure: each edge by
+    :func:`reference_edge`, and each face abelianized raw before both sides
+    are Tietze-reduced."""
     v = cube.vertices
-    edges = tuple(
-        _check_edge(e, v[e.source], v[e.target], lattice_basis(relator_matrix(v[e.target])))
-        for e in cube.edges
-    )
+    edges = tuple(reference_edge(e, v[e.source], v[e.target]) for e in cube.edges)
     faces = []
     for source, mid1, mid2, sink in CUBE_FACES:
         pushout = _pushout_presentation(

@@ -178,15 +178,21 @@ class TestIntersectionForm:
 
 
 class TestFormProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(moved_diagrams())
+    # h1_torsion.tri is a summand: the form lives on H2 / Tors, so torsion in
+    # H1 and H2 changes none of these properties
+    @settings(max_examples=60, deadline=None)
+    @given(moved_diagrams(torsion=True))
     def test_unimodular_with_rank_b2(self, d):
         q = intersection_form(d)
+        assert q == q.transpose()
         assert abs(q.determinant()) == 1
-        assert form_invariants(q).rank == q.nrows == homology(d)[2][0]
+        inv = form_invariants(q)
+        assert inv.rank == q.nrows == homology(d)[2][0]
+        if inv.parity == "even":  # van der Blij
+            assert inv.signature % 8 == 0
 
     @settings(max_examples=40, deadline=None)
-    @given(moved_diagrams())
+    @given(moved_diagrams(torsion=True))
     def test_family_permutations(self, d):
         # rotating the families keeps the orientation; swapping two reverses it
         inv = form_invariants(intersection_form(d))
@@ -195,6 +201,15 @@ class TestFormProperties:
         swapped = TrisectionDiagram(d.genus, d.beta, d.alpha, d.gamma)
         reversed_inv = FormInvariants(inv.rank, -inv.signature, inv.parity)
         assert form_invariants(intersection_form(swapped)) == reversed_inv
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
+    def test_additive_under_sum(self, d1, d2):
+        # the form of a connected sum is the block sum of the forms
+        inv1, inv2 = (form_invariants(intersection_form(d)) for d in (d1, d2))
+        parity = "even" if inv1.parity == inv2.parity == "even" else "odd"
+        expected = FormInvariants(inv1.rank + inv2.rank, inv1.signature + inv2.signature, parity)
+        assert form_invariants(intersection_form(connected_sum(d1, d2))) == expected
 
 
 class TestFormInvariants:
