@@ -20,7 +20,6 @@ from .intmatrix import (
     lattice_basis,
     left_kernel,
     quotient_invariants,
-    symplectic_form,
     symplectic_pairing,
 )
 from .diagrams import (

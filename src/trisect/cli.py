@@ -33,10 +33,9 @@ from .groups import (
 from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
-    _curve_smith,
-    _euler_and_homology,
-    _kernel_form,
+    euler_characteristic,
     form_invariants,
+    homology,
     intersection_form,
     k_triple,
     poincare_candidate_check,
@@ -78,16 +77,12 @@ def _cmd_validate(args) -> int:
 def _cmd_invariants(args) -> int:
     d = _read_trisection(args.file)
     print(f"genus: {d.genus}")
-    ks = k_triple(d)
-    for name, k in zip(PAIR_NAMES, ks):
+    for name, k in zip(PAIR_NAMES, k_triple(d)):
         print(f"k_{name}: {k}")
-    curve_smith = _curve_smith(d, ("u",))
-    chi, h = _euler_and_homology(d, ks, curve_smith[0])
-    print(f"euler: {chi}")
-    for i, (rank, torsion) in enumerate(h):
+    print(f"euler: {euler_characteristic(d)}")
+    for i, (rank, torsion) in enumerate(homology(d)):
         print(f"H{i}: {format_abelian(rank, torsion)}")
-    # k_triple above already refused non-standard pairs, as intersection_form would
-    form = form_invariants(_kernel_form(d, curve_smith))
+    form = form_invariants(intersection_form(d))
     print(f"form_rank: {form.rank}")
     print(f"form_signature: {form.signature}")
     print(f"form_parity: {form.parity}")

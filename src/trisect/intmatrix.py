@@ -281,16 +281,6 @@ def left_kernel(mat: IntMatrix) -> IntMatrix:
     return lattice_basis(_matrix(u.rows[len(divisors) :], mat.nrows))
 
 
-def symplectic_form(genus: int) -> IntMatrix:
-    """Gram matrix J of the intersection pairing in the (a-block, b-block) basis."""
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        rows[i][genus + i] = 1
-        rows[genus + i][i] = -1
-    return IntMatrix(rows, n)
-
-
 def symplectic_pairing(u: Sequence[int], v: Sequence[int], genus: int) -> int:
     """u^T J v, the algebraic intersection number of two homology classes."""
     if len(u) != 2 * genus or len(v) != 2 * genus:

@@ -14,11 +14,10 @@ from .intmatrix import (
     IntMatrix,
     _matrix,
     _smith,
-    lattice_basis,
     left_kernel,
     quotient_invariants,
     stack_rows,
-    symplectic_form,
+    symplectic_pairing,
 )
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
@@ -83,68 +82,51 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     H1 is the cokernel of the three stacked curve matrices; H3 is its free
     part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    return _euler_and_homology(d, k_triple(d), _curve_smith(d)[0])[1]
+    b1, torsion = quotient_invariants(2 * d.genus, _curve_matrix(d))
+    b2 = euler_characteristic(d) - 2 + 2 * b1
+    return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
 
-def _curve_smith(d: TrisectionDiagram, want: tuple[str, ...] = ()) -> tuple:
-    """``_smith`` of the stacked curve matrix [L_beta; L_alpha; L_gamma]: its
-    divisors give H1, its U the kernel behind :func:`_kernel_form`."""
-    stacked = stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix())
-    return _smith(stacked, want)
-
-
-def _euler_and_homology(
-    d: TrisectionDiagram, ks: tuple[int, int, int], divisors: tuple[int, ...]
-):
-    """(chi, H_0..H_4) of ``d`` from its k-triple and the divisors of
-    :func:`_curve_smith`, so a caller that needs several invariants
-    computes each of those once."""
-    chi = 2 + d.genus - sum(ks)
-    b1, torsion = 2 * d.genus - len(divisors), tuple(x for x in divisors if x > 1)
-    b2 = chi - 2 + 2 * b1
-    return chi, ((1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ()))
+def _curve_matrix(d: TrisectionDiagram) -> IntMatrix:
+    """The stacked curve matrix [L_beta; L_alpha; L_gamma]."""
+    return stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix())
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     """Gram matrix of the intersection pairing on a basis of H2 / Tors.
 
-    The form is unimodular, of size b2, for every valid diagram, H1 torsion
-    or not.  Refuses a diagram with a non-standard pair, like
-    :func:`k_triple`.  See :func:`_kernel_form` for the model.
-    """
-    k_triple(d)
-    return _kernel_form(d, _curve_smith(d, ("u",)))
-
-
-def _kernel_form(d: TrisectionDiagram, curve_smith: tuple) -> IntMatrix:
-    """The intersection form from one integer kernel (Feller-Klug-Schirmer-Zemke).
-
-    A row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
+    The form comes from one integer kernel (Feller-Klug-Schirmer-Zemke).  A
+    row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
     matrix [L_beta; L_alpha; L_gamma] gives x = z_beta L_beta, whose
     alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  For every
     trisection, FKSZ (arXiv:1711.04762) identify H2 with
     (L_beta ∩ (L_alpha + L_gamma)) / (L_beta ∩ L_alpha + L_beta ∩ L_gamma)
-    and the form with <x, y_alpha>, so z -> x maps K onto H2 and
-    Q_K[z, w] = <x_z, -w_alpha L_alpha> is the form pulled back.  By
-    Poincare duality the form's radical on H2 is exactly its torsion, so
-    K / rad(Q_K) = H2 / Tors, unimodular, whether or not H1 has torsion.
-    The Gram matrix is taken on the complement of the radical given by its
-    Smith form, so it is a deterministic function of the diagram; only its
-    congruence class is an invariant.  One Smith form,
-    ``curve_smith = _curve_smith(d, ("u",))``, gives both H1 and K.
+    and the form with <x, y_alpha>, so z -> x maps K onto H2 and the form
+    pulls back to Q_K = K_beta M K_alpha^T, where M[i][j] = -<beta_i, alpha_j>
+    is the beta-alpha intersection matrix.  By Poincare duality the form's
+    radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
+    unimodular of size b2, whether or not H1 has torsion.  The Gram matrix
+    is taken on the complement of the radical given by its Smith form, so it
+    is a deterministic function of the diagram; only its congruence class is
+    an invariant.  Refuses a diagram with a non-standard pair, like
+    :func:`k_triple`.
     """
+    chi = euler_characteristic(d)
     g = d.genus
-    divisors, u = curve_smith
-    kern = lattice_basis(_matrix(u.rows[len(divisors) :], 3 * g))
-    la, lb = d.alpha.matrix(), d.beta.matrix()
-    lifts = _matrix(tuple(z[:g] for z in kern.rows), g) @ lb
-    alpha_parts = _matrix(tuple(tuple(-c for c in z[g : 2 * g]) for z in kern.rows), g) @ la
-    qk = lifts @ symplectic_form(g) @ alpha_parts.transpose()
+    kern = left_kernel(_curve_matrix(d))
+    betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
+    m = _matrix(tuple(tuple(-symplectic_pairing(b, a, g) for a in alphas) for b in betas), g)
+    k_beta = _matrix(tuple(z[:g] for z in kern.rows), g)
+    k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern.rows), g)
+    qk = k_beta @ m @ k_alpha.transpose()
     rad_divisors, vinv = _smith(left_kernel(qk), ("vinv",))
     basis = _matrix(vinv.rows[len(rad_divisors) :], kern.nrows)
     q = basis @ qk @ basis.transpose()
     if q != q.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
+    b1 = kern.nrows - g  # K has rank 3g - (2g - b1)
+    if q.nrows != chi - 2 + 2 * b1 or abs(q.determinant()) != 1:
+        raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
     return q
 
 

@@ -16,6 +16,8 @@ parse/serialize round-trips are byte-identical on canonical files.
 
 from __future__ import annotations
 
+import re
+
 from .diagrams import (
     HeegaardDiagram,
     TrisectionDiagram,
@@ -40,15 +42,16 @@ def _significant_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         if body.strip():
-            yield lineno, body.rstrip(), raw
+            yield lineno, body.rstrip()
 
 
 def _first_bad_token(chunk):
-    for tok in chunk.split():
+    """Offset in ``chunk`` of its first whitespace-separated token that is not a word."""
+    for tok in re.finditer(r"\S+", chunk):
         try:
-            parse_word(tok)
+            parse_word(tok.group())
         except ValueError:
-            return tok
+            return tok.start()
     return None
 
 
@@ -67,12 +70,12 @@ def parse(text: str):
         pos += 1
         return entry
 
-    lineno, body, _ = take("kind")
+    lineno, body = take("kind")
     kind = body.strip()
     if kind not in ("trisection", "heegaard"):
         raise ParseError(f"expected 'trisection' or 'heegaard', got {kind!r}", line=lineno, column=1)
 
-    lineno, body, _ = take("genus")
+    lineno, body = take("genus")
     parts = body.split()
     if len(parts) != 2 or parts[0] != "genus" or not (parts[1].isascii() and parts[1].isdigit()):
         raise ParseError(f"expected 'genus <n>', got {body.strip()!r}", line=lineno, column=1)
@@ -81,31 +84,30 @@ def parse(text: str):
     wanted = ("alpha", "beta", "gamma") if kind == "trisection" else ("alpha", "beta")
     families = []
     for name in wanted:
-        lineno, body, raw = take(f"family {name}")
-        parts = body.split(None, 1)
-        head = parts[0]
-        rest = parts[1].strip() if len(parts) > 1 else ""
+        lineno, body = take(f"family {name}")
+        head = body.split(None, 1)[0]
         if head != name:
             raise ParseError(f"expected family {name!r}, got {head!r}", line=lineno, column=1)
+        offset = body.index(head) + len(head)  # where the next chunk starts in the line
         words = []
-        if rest:
-            for chunk in rest.split("|"):
-                chunk = chunk.strip()
-                if not chunk:
+        if body[offset:].strip():
+            for chunk in body[offset:].split("|"):
+                if not chunk.strip():
                     raise ParseError("empty curve entry (write 'e' for the empty word)", line=lineno)
                 try:
                     words.append(parse_word(chunk))
                 except ValueError as exc:
                     bad = _first_bad_token(chunk)
-                    col = raw.find(bad) + 1 if bad and bad in raw else None
+                    col = None if bad is None else offset + bad + 1
                     raise ParseError(str(exc), line=lineno, column=col) from None
+                offset += len(chunk) + 1
         if len(words) != genus:
             raise ParseError(
                 f"family {name} has {len(words)} curves, genus is {genus}", line=lineno
             )
         families.append(words)
     if pos < len(lines):
-        lineno, body, _ = lines[pos]
+        lineno, body = lines[pos]
         raise ParseError(f"unexpected line {body.strip()!r}", line=lineno)
     if kind == "trisection":
         return trisection_diagram(genus, *families)

@@ -1,15 +1,30 @@
 """In-process tests of ``cli.main``: what a subprocess cannot show (which
 functions a command called) or would make too slow (fuzzing)."""
 
+import ast
 import contextlib
 import io
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 import trisect.cli as cli
 from conftest import FIXTURES
+
+
+def test_cli_imports_no_private_name():
+    # the CLI asks the other modules for what it prints by their public names
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("trisect"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):

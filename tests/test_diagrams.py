@@ -259,7 +259,7 @@ class TestHeegaardPairs:
 
 
 def _j(genus):
-    from trisect.intmatrix import symplectic_form
+    from test_intmatrix import symplectic_form
 
     return symplectic_form(genus)
 

@@ -12,9 +12,19 @@ from trisect.intmatrix import (
     left_kernel,
     quotient_invariants,
     stack_rows,
-    symplectic_form,
     symplectic_pairing,
 )
+
+
+def symplectic_form(genus: int) -> IntMatrix:
+    """Reference Gram matrix J of the intersection pairing in the (a-block,
+    b-block) basis, written out independently of ``symplectic_pairing``."""
+    n = 2 * genus
+    rows = [[0] * n for _ in range(n)]
+    for i in range(genus):
+        rows[i][genus + i] = 1
+        rows[genus + i][i] = -1
+    return IntMatrix(rows, n)
 
 
 def minor_gcd_divisors(m: IntMatrix):

@@ -12,7 +12,8 @@ from trisect.diagrams import (
     slide_family,
     standard_diagram,
 )
-from trisect.intmatrix import IntMatrix
+from test_intmatrix import symplectic_form
+from trisect.intmatrix import IntMatrix, _smith, left_kernel
 from trisect.invariants import (
     FormInvariants,
     NotHomologicallyStandard,
@@ -210,6 +211,30 @@ class TestFormProperties:
         parity = "even" if inv1.parity == inv2.parity == "even" else "odd"
         expected = FormInvariants(inv1.rank + inv2.rank, inv1.signature + inv2.signature, parity)
         assert form_invariants(intersection_form(connected_sum(d1, d2))) == expected
+
+
+def reference_form(d):
+    """The form by the dense formula (K_beta L_beta) J (-K_alpha L_alpha)^T on
+    the curve kernel K, on the complement of its radical from its Smith form."""
+    g = d.genus
+    la, lb = d.alpha.matrix(), d.beta.matrix()
+    kern = left_kernel(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g))
+    lifts = IntMatrix([z[:g] for z in kern.rows], g) @ lb
+    alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern.rows], g) @ la
+    qk = lifts @ symplectic_form(g) @ alpha_parts.transpose()
+    rad_divisors, vinv = _smith(left_kernel(qk), ("vinv",))
+    basis = IntMatrix(vinv.rows[len(rad_divisors) :], kern.nrows)
+    return basis @ qk @ basis.transpose()
+
+
+class TestFormReference:
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
+    def test_moved_and_summed(self, d1, d2):
+        # the beta-alpha intersection matrix pulled back to the kernel is the
+        # same integer matrix as the dense product through J
+        for d in (d1, connected_sum(d1, d2)):
+            assert intersection_form(d) == reference_form(d)
 
 
 class TestFormInvariants:

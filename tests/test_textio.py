@@ -57,6 +57,11 @@ def test_bad_token_reports_line_and_column():
         parse("trisection\ngenus 1\nalpha c1\nbeta b1\ngamma a1 b1\n")
     assert exc.value.line == 3
     assert exc.value.column == 7
+    # the bad token is searched for after the family keyword and within its chunk
+    for family, column in (("alpha a1 | a", 12), ("alpha b2 | a1 2", 15)):
+        with pytest.raises(ParseError) as exc:
+            parse(f"trisection\ngenus 2\n{family}\nbeta b1 | b2\ngamma a1 | a2\n")
+        assert (exc.value.line, exc.value.column) == (3, column)
 
 
 def test_arity_mismatch():
