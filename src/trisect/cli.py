@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidCutSystemError, NotHomologicallyStandard) as exc:
+    except (InvalidCutSystemError, NotHomologicallyStandard, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EnumerationRefused as exc:

@@ -46,8 +46,12 @@ def _significant_lines(text):
 
 
 def _first_bad_token(chunk):
-    """Offset in ``chunk`` of its first whitespace-separated token that is not a word."""
-    for tok in re.finditer(r"\S+", chunk):
+    """Offset in ``chunk`` of its first whitespace-separated token that is not
+    a word.  The empty word ``e`` is one only when it stands alone."""
+    tokens = list(re.finditer(r"\S+", chunk))
+    for tok in tokens:
+        if tok.group() == "e" and len(tokens) > 1:
+            return tok.start()
         try:
             parse_word(tok.group())
         except ValueError:

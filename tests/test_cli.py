@@ -204,6 +204,24 @@ def test_cube_verify():
     assert "verdict: ok" in res.stdout
 
 
+# fixtures that do not build a cube, with the exit code of ``cube --verify``
+NO_CUBE = {"heegaard_boring": 2, "invalid_imprimitive": 1, "nonstandard_pair": 1}
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tri")), ids=lambda p: p.stem)
+def test_cube_verify_budget_zero(path):
+    # every face of a built cube closes syntactically, so no Tietze step is needed
+    res = run_cli("cube", str(path), "--verify", "0")
+    if path.stem in NO_CUBE:
+        assert (res.returncode, res.stdout) == (NO_CUBE[path.stem], "")
+        return
+    assert (res.returncode, res.stderr) == (0, "")
+    faces = [line for line in res.stdout.splitlines() if line.startswith("face ")]
+    assert len(faces) == 6
+    assert all(line.endswith(": Verified") for line in faces)
+    assert res.stdout.endswith("verdict: ok\n")
+
+
 def test_poincare_check():
     res = run_cli("poincare-check", str(FIXTURES / "s4.tri"))
     assert res.returncode == 0

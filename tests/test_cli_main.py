@@ -45,6 +45,19 @@ def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):
     assert calls["tietze_simplify"] == 1
 
 
+def test_form_check_failure_is_one_line_error(monkeypatch, capsys):
+    # the runtime check of the intersection form ends in exit 1 and one
+    # error line, like any other check failure
+    def failing(d):
+        raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
+
+    monkeypatch.setattr(cli, "intersection_form", failing)
+    for command in ("invariants", "form"):
+        assert cli.main([command, str(FIXTURES / "cp2.tri")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: intersection form is not unimodular of rank b2 on this diagram\n"
+
+
 FIXTURE_LINES = tuple(tuple(p.read_text().splitlines()) for p in sorted(FIXTURES.glob("*.tri")))
 # tokens that break a line's syntax, arity or range
 JUNK = ("|", "a9", "x", "#", "genus", "-1", "alpha", "")

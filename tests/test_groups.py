@@ -14,6 +14,7 @@ from trisect.groups import (
     CUBE_FACES,
     CUBE_VERTICES,
     CubeEdge,
+    CubeReport,
     EdgeCheck,
     EnumerationRefused,
     FaceCheck,
@@ -255,8 +256,20 @@ class TestTietze:
             return _fn(w)
 
         monkeypatch.setattr(groups, "_canonical_rotation", counted)
-        report = verify_cube(build_cube(d), 1000)
-        assert all(f.status == "Verified" for f in report.faces)
+        # the ten reductions a Tietze-only cube check makes: six face
+        # pushouts and the four distinct sinks; each pushout reduces to its sink
+        cube = build_cube(d)
+        v = cube.vertices
+        sinks = {}
+        for source, mid1, mid2, sink in CUBE_FACES:
+            e1, e2 = cube.edge(source, mid1), cube.edge(source, mid2)
+            left = tietze_simplify(_pushout_presentation(v[source], v[mid1], v[mid2], e1, e2), 1000)
+            if sink not in sinks:
+                sinks[sink] = tietze_simplify(v[sink], 1000)
+            assert (left.num_generators, left.relators) == (
+                sinks[sink].num_generators,
+                sinks[sink].relators,
+            )
         assert calls["rotation"] <= 1000
 
     @settings(max_examples=300, deadline=None)
@@ -470,11 +483,8 @@ class TestCube:
         for name, d in library.items():
             assert build_cube(d).vertices["total"] == pi1_presentation(d), name
 
-    def test_work_per_cube(self, monkeypatch):
-        # each distinct sink is Tietze-reduced once, each target's relator
-        # basis is built once (7) and extended once per edge check (12), and
-        # identical reduced forms need no abelianization
-        cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
+    @staticmethod
+    def count_work(monkeypatch, cube, budget):
         calls = Counter()
         for name in ("tietze_simplify", "abelianize_presentation", "lattice_basis"):
 
@@ -483,21 +493,57 @@ class TestCube:
                 return _fn(*args)
 
             monkeypatch.setattr(groups, name, counted)
-        report = verify_cube(cube, budget=1000)
+        return verify_cube(cube, budget), calls
+
+    def test_work_per_cube(self, monkeypatch):
+        # every map of a built cube is the identity and every sink's relators
+        # are the union of its middle relators, so the syntactic rules settle
+        # all twelve edges and six faces with no search and no lattice
+        cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
+        report, calls = self.count_work(monkeypatch, cube, 1000)
         assert all(f.status == "Verified" for f in report.faces)
-        assert calls["tietze_simplify"] <= 10
-        assert calls["abelianize_presentation"] == 0
-        assert calls["lattice_basis"] == 19
+        assert report.ok
+        assert calls == Counter()
+
+    def test_work_per_corrupted_cube(self, monkeypatch):
+        # only the three faces that touch the corrupted sector take the Tietze
+        # path: three pushouts and the two distinct sinks (the sector and
+        # total); the three edges at the sector need the bases of their two
+        # targets, each extended once per edge
+        cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
+        report, calls = self.count_work(monkeypatch, corrupt_sector(cube, "sector_alpha_beta"), 1000)
+        touching = [f for f in report.faces if "sector_alpha_beta" in f.vertices]
+        assert len(touching) == 3
+        assert all(f.status == "Verified" for f in report.faces if f not in touching)
+        assert calls["tietze_simplify"] == 3 + 2
+        assert calls["lattice_basis"] == 2 + 3
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
     def test_matches_reference_procedure(self, d, budget):
         # small budgets leave faces only homologically verified
         cube = build_cube(d)
-        sectors = ("sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha")
-        for c in [cube] + [corrupt_sector(cube, s) for s in sectors]:
+        for c in [cube] + cube_variants(cube):
             report = verify_cube(c, budget)
             assert (report.edges, report.faces) == reference_verify(c, budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
+    def test_syntactic_rules_only_upgrade_tietze_statuses(self, d, budget):
+        # against the Tietze-only procedure: the edges and the verdict are the
+        # same, a face can only go from HomologicallyVerified to Verified, and
+        # Failed never changes
+        cube = build_cube(d)
+        for c in [cube] + cube_variants(cube):
+            report = verify_cube(c, budget)
+            edges, faces = tietze_only_verify(c, budget)
+            assert report.edges == edges
+            assert report.ok == CubeReport(edges, faces).ok
+            for new, old in zip(report.faces, faces):
+                assert new.vertices == old.vertices
+                assert new.status == old.status or (
+                    (old.status, new.status) == ("HomologicallyVerified", "Verified")
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.data())
@@ -580,7 +626,7 @@ def reference_edge(e, src, tgt):
     return EdgeCheck(e.source, e.target, surjectivity, mapped)
 
 
-def reference_verify(cube, budget):
+def tietze_only_verify(cube, budget):
     """Edge and face checks by the plain procedure: each edge by
     :func:`reference_edge`, and each face abelianized raw before both sides
     are Tietze-reduced."""
@@ -599,6 +645,55 @@ def reference_verify(cube, budget):
             status = "Verified" if same else "HomologicallyVerified"
         faces.append(FaceCheck((source, mid1, mid2, sink), status))
     return edges, tuple(faces)
+
+
+def reference_verify(cube, budget):
+    """:func:`tietze_only_verify` with the two syntactic rules on top.  An
+    identity edge sends each generator to the same generator of a target
+    with as many generators.  One whose source relators all occur in the
+    target is exact with its relators mapped.  A face whose four edges are
+    identities is Verified when its middle relators together are exactly its
+    sink's relators."""
+    v = cube.vertices
+    rels = {name: set(p.relators) for name, p in v.items()}
+    identity = {
+        (e.source, e.target)
+        for e in cube.edges
+        if v[e.source].num_generators == v[e.target].num_generators
+        and all(image == (i,) for i, image in enumerate(e.images, 1))
+    }
+    edges, faces = tietze_only_verify(cube, budget)
+    edges = tuple(
+        EdgeCheck(e.source, e.target, "exact", True)
+        if (e.source, e.target) in identity and rels[e.source] <= rels[e.target]
+        else e
+        for e in edges
+    )
+    faces = tuple(
+        FaceCheck(f.vertices, "Verified")
+        if {(s, m1), (s, m2), (m1, k), (m2, k)} <= identity and rels[m1] | rels[m2] == rels[k]
+        else f
+        for f in faces
+        for s, m1, m2, k in [f.vertices]
+    )
+    return edges, faces
+
+
+def drop_total_relator(cube):
+    """The cube with the last relator of ``total`` deleted and every map
+    kept: the identities into ``total`` stay identities, but the faces into
+    it no longer close up syntactically."""
+    total = cube.vertices["total"]
+    vertices = dict(cube.vertices)
+    vertices["total"] = Presentation(total.num_generators, total.relators[:-1], total.names)
+    return GroupTrisectionCube(vertices, cube.edges)
+
+
+def cube_variants(cube):
+    """The three corrupted-sector cubes and the cube without the last
+    relator of ``total``."""
+    sectors = ("sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha")
+    return [corrupt_sector(cube, s) for s in sectors] + [drop_total_relator(cube)]
 
 
 def corrupt_sector(cube, sector):

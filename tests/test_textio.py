@@ -62,6 +62,11 @@ def test_bad_token_reports_line_and_column():
         with pytest.raises(ParseError) as exc:
             parse(f"trisection\ngenus 2\n{family}\nbeta b1 | b2\ngamma a1 | a2\n")
         assert (exc.value.line, exc.value.column) == (3, column)
+    # the empty word e is a bad token only when its chunk holds others
+    with pytest.raises(ParseError) as exc:
+        parse("trisection\ngenus 1\nalpha a1 e\nbeta b1\ngamma a1 b1\n")
+    assert (exc.value.line, exc.value.column) == (3, 10)
+    assert str(exc.value) == "bad token 'e' (line 3, column 10)"
 
 
 def test_arity_mismatch():
