@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
@@ -141,22 +142,9 @@ def _canonical_rotation(w: Word) -> Word:
     return min((v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)), default=())
 
 
-def _normalize_relators(relators, normal=()) -> list[Word]:
-    """Distinct nonempty canonical relators, shortest first, then lexicographic.
-
-    ``normal`` holds relators already canonical and distinct; they are kept
-    as they are and only ``relators`` are canonicalized.  The result depends
-    on the set of canonical relators alone.
-    """
-    out = list(normal)
-    seen = set(out)
-    for r in relators:
-        r = _canonical_rotation(cyclic_reduce(r))
-        if r and r not in seen:
-            seen.add(r)
-            out.append(r)
-    out.sort(key=lambda w: (len(w), w))
-    return out
+def _canonical(w) -> Word:
+    """The canonical rotation of the cyclic reduction of w; () when it is trivial."""
+    return _canonical_rotation(cyclic_reduce(w))
 
 
 def _shorten(u: Word, v: Word) -> Word | None:
@@ -196,67 +184,60 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     length) strictly decreases lexicographically, so a fixpoint exists and
     the result is idempotent.
 
-    Relators are kept distinct, canonical and sorted, and each move
+    The relators are kept as a set of nonempty canonical words, so the
+    result depends on the set of canonical relators alone.  Each step sorts
+    the set, shortest first and then lexicographically, and takes the first
+    relator with a generator that occurs once (the least such generator),
+    or else the first pair (u, v) in which v shortens u.  A move
     canonicalizes only what it changed: the substituted relators after an
     elimination, or the one shortened relator.  Generators keep their
-    labels until the end, when the survivors are numbered 1..n.  The result
-    equals that of renumbering and renormalizing every relator after every
-    move.
+    labels until the end, when the survivors are numbered 1..n.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     eliminated = set()
-    rels = _normalize_relators(p.relators)
-    steps = 0
-    while steps < budget:
+    rels = {_canonical(r) for r in p.relators} - {()}
+    for _ in range(budget):
+        order = sorted(rels, key=lambda w: (len(w), w))
         target = None
-        for ri, r in enumerate(rels):
+        for r in order:
             counts: dict[int, int] = {}
             for t in r:
                 counts[abs(t)] = counts.get(abs(t), 0) + 1
             singles = sorted(g for g, c in counts.items() if c == 1)
             if singles:
-                target = (ri, singles[0])
+                target = (r, singles[0])
                 break
         if target is not None:
-            ri, gen = target
-            r = rels.pop(ri)
+            r, gen = target
+            rels.remove(r)
             pos = next(idx for idx, t in enumerate(r) if abs(t) == gen)
             r = r[pos:] + r[:pos]
             head, tail = r[0], r[1:]
             rep = invert_word(tail) if head > 0 else tail
             image = {gen: rep, -gen: invert_word(rep)}
-            kept, substituted = [], []
-            for w in rels:
-                if gen in w or -gen in w:
-                    substituted.append([x for t in w for x in image.get(t, (t,))])
-                else:
-                    kept.append(w)
-            rels = _normalize_relators(substituted, kept)
+            rels = {
+                _canonical([x for t in w for x in image.get(t, (t,))])
+                if gen in w or -gen in w
+                else w
+                for w in rels
+            }
+            rels.discard(())
             eliminated.add(gen)
-            steps += 1
             continue
-        found = None
-        for i, u in enumerate(rels):
-            for j, v in enumerate(rels):
-                if i == j:
-                    continue
-                cand = _shorten(u, v)
-                if cand is not None:
-                    found = (i, cand)
-                    break
-            if found:
-                break
-        if found is None:
+        pairs = ((u, _shorten(u, v)) for u in order for v in order if u != v)
+        u, cand = next(((u, c) for u, c in pairs if c is not None), (None, None))
+        if u is None:
             break
-        i, cand = found
-        rels = _normalize_relators([cand], rels[:i] + rels[i + 1 :])
-        steps += 1
+        rels.remove(u)
+        rels.add(_canonical(cand))
+        rels.discard(())
     # numbering the survivors in order is monotone and commutes with
-    # inversion, so it keeps each relator canonical and the list sorted
+    # inversion, so it keeps each relator canonical and the order sorted
     survivors = [g for g in range(1, p.num_generators + 1) if g not in eliminated]
     label = {g: i for i, g in enumerate(survivors, 1)}
-    rels = tuple(tuple(label[t] if t > 0 else -label[-t] for t in r) for r in rels)
+    order = sorted(rels, key=lambda w: (len(w), w))
+    rels = tuple(tuple(label[t] if t > 0 else -label[-t] for t in r) for r in order)
     names = p.generator_names()
     return Presentation(len(survivors), rels, tuple(names[g - 1] for g in survivors))
 
@@ -494,18 +475,6 @@ def _pushout_presentation(
     return presentation(n1 + n2, relators)
 
 
-class _Lazy(dict):
-    """A dict that computes a missing value from its key, once."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) -> CubeReport:
     """Check surjectivity of the twelve maps and the pushout property of the six faces.
 
@@ -525,8 +494,12 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     abelianized: ``HomologicallyVerified`` when the abelianizations agree,
     ``Failed`` when they differ.  Tietze moves keep the group, so these are
     also the abelianizations of the raw presentations.  Lattice bases and
-    Tietze forms are built only for the edges and faces that need them.
+    Tietze forms are built only for the edges and faces that need them, at
+    most once each per call.  A negative budget is a usage error
+    (``ValueError``), even when the rules settle every face.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if set(cube.vertices) != set(CUBE_VERTICES):
         raise MalformedCubeError(
             f"expected vertices {sorted(CUBE_VERTICES)}, got {sorted(cube.vertices)}"
@@ -555,14 +528,14 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         if v[e.source].num_generators == v[e.target].num_generators
         and e.images == tuple((i,) for i in range(1, v[e.source].num_generators + 1))
     }
-    bases = _Lazy(lambda name: lattice_basis(relator_matrix(v[name])))
+    bases = cache(lambda name: lattice_basis(relator_matrix(v[name])))
     edge_checks = tuple(
         EdgeCheck(e.source, e.target, "exact", True)
         if (e.source, e.target) in identities and relators[e.source] <= relators[e.target]
-        else _check_edge(e, v[e.source], v[e.target], bases[e.target])
+        else _check_edge(e, v[e.source], v[e.target], bases(e.target))
         for e in cube.edges
     )
-    reduced = _Lazy(lambda name: tietze_simplify(v[name], budget))
+    reduced = cache(lambda name: tietze_simplify(v[name], budget))
     face_checks = []
     for source, mid1, mid2, sink in CUBE_FACES:
         square = ((source, mid1), (source, mid2), (mid1, sink), (mid2, sink))
@@ -572,7 +545,7 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             pushout = _pushout_presentation(
                 v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
             )
-            left, right = tietze_simplify(pushout, budget), reduced[sink]
+            left, right = tietze_simplify(pushout, budget), reduced(sink)
             if (left.num_generators, left.relators) == (right.num_generators, right.relators):
                 status = "Verified"
             elif abelianize_presentation(left) == abelianize_presentation(right):

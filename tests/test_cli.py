@@ -222,6 +222,15 @@ def test_cube_verify_budget_zero(path):
     assert res.stdout.endswith("verdict: ok\n")
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(FIXTURES.glob("*.tri")) if p.stem not in NO_CUBE], ids=lambda p: p.stem
+)
+def test_cube_verify_negative_budget_is_usage_error(path):
+    res = run_cli("cube", str(path), "--verify", "-1")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: budget must be nonnegative\n"
+
+
 def test_poincare_check():
     res = run_cli("poincare-check", str(FIXTURES / "s4.tri"))
     assert res.returncode == 0

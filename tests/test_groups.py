@@ -34,7 +34,7 @@ from trisect.groups import (
 )
 from trisect.intmatrix import IntMatrix, lattice_basis
 from trisect.invariants import homology
-from trisect.words import invert_word
+from trisect.words import cyclic_reduce, invert_word
 
 
 def rel(*texts):
@@ -90,11 +90,29 @@ def presentations(draw):
     return presentation(n, draw(st.lists(st.lists(tokens, min_size=1, max_size=8), max_size=6)))
 
 
+def _normalize_relators(relators, normal=()):
+    """Distinct nonempty canonical relators, shortest first, then lexicographic.
+
+    ``normal`` holds relators already canonical and distinct; they are kept
+    as they are and only ``relators`` are canonicalized.  The result depends
+    on the set of canonical relators alone.
+    """
+    out = list(normal)
+    seen = set(out)
+    for r in relators:
+        r = groups._canonical_rotation(cyclic_reduce(r))
+        if r and r not in seen:
+            seen.add(r)
+            out.append(r)
+    out.sort(key=lambda w: (len(w), w))
+    return out
+
+
 def reference_tietze(p, budget):
     """The Tietze loop with every relator renormalized after every move."""
     n = p.num_generators
     names = list(p.generator_names())
-    rels = groups._normalize_relators(p.relators)
+    rels = _normalize_relators(p.relators)
     steps = 0
     while steps < budget:
         target = None
@@ -120,9 +138,7 @@ def reference_tietze(p, budget):
             def renumber(t):
                 return t - 1 if t > gen else t + 1 if t < -gen else t
 
-            rels = groups._normalize_relators(
-                tuple(renumber(t) for t in substitute(w)) for w in rels
-            )
+            rels = _normalize_relators(tuple(renumber(t) for t in substitute(w)) for w in rels)
             names.pop(gen - 1)
             n -= 1
             steps += 1
@@ -139,7 +155,7 @@ def reference_tietze(p, budget):
             break
         i, cand = found
         rels[i] = cand
-        rels = groups._normalize_relators(rels)
+        rels = _normalize_relators(rels)
         steps += 1
     return n, tuple(rels), tuple(names)
 
@@ -233,6 +249,21 @@ class TestTietze:
     def test_matches_reference_loop(self, p, budget):
         q = tietze_simplify(p, budget)
         assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(presentations(), st.sampled_from((0, 1, 5, 1000)), st.data())
+    def test_depends_on_canonical_relator_set_alone(self, p, budget, data):
+        # shuffle the relators, repeat some, and rotate or invert each copy
+        relators = []
+        for r in p.relators:
+            for _ in range(data.draw(st.integers(1, 2))):
+                s = data.draw(st.integers(0, len(r) - 1))
+                w = r[s:] + r[:s]
+                relators.append(invert_word(w) if data.draw(st.booleans()) else w)
+        relators = data.draw(st.permutations(relators))
+        q = tietze_simplify(p, budget)
+        q2 = tietze_simplify(presentation(p.num_generators, relators, p.names), budget)
+        assert (q2.num_generators, q2.relators, q2.names) == (q.num_generators, q.relators, q.names)
 
     def test_matches_reference_loop_on_cube_vertices(self, library):
         d = connected_sum(library["S2xS2"], library["CP2+CP2BAR"])
@@ -568,6 +599,12 @@ class TestCube:
             all(x.surjectivity != "failed" and x.relators_mapped for x in report.edges)
             and all(f.status != "Failed" for f in report.faces)
         )
+
+    def test_negative_budget_rejected(self, library):
+        # even though the syntactic rules settle every face with no search
+        for d in library.values():
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                verify_cube(build_cube(d), -1)
 
     def test_malformed_cube_rejected(self):
         cube = build_cube(standard_diagram("CP2"))
