@@ -14,11 +14,10 @@ from itertools import permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, lattice_basis, quotient_invariants
-from .invariants import k_triple
+from .invariants import DEFAULT_TIETZE_BUDGET, k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_HOM_CAP = 10_000_000
-DEFAULT_TIETZE_BUDGET = 10_000
 
 
 class EnumerationRefused(Exception):
@@ -150,27 +149,26 @@ def _canonical(w) -> Word:
 def _shorten(u: Word, v: Word) -> Word | None:
     """Shorten relator u using relator v, or None.
 
-    Looks for a cyclic subword of u matching more than half of v (or of
-    v^-1) and replaces it by the inverse of the remainder of v.
+    Replaces the first cyclic subword of u, in the order (v before v^-1,
+    start in v, start in u), that matches more than half of v or v^-1 by the
+    inverse of the rest.  Its first len(v) // 2 + 1 letters decide a match
+    (free reduction cancels any more), looked up in a hash index of u.
     """
     nu, nv = len(u), len(v)
-    if nu == 0 or nv < 2:
+    h = nv // 2 + 1
+    if nv < 2 or h > nu:
         return None
     du = u + u
+    starts: dict[int, list[int]] = {}
+    for start in range(nu):
+        starts.setdefault(hash(du[start : start + h]), []).append(start)
     for vv in (v, invert_word(v)):
         dv = vv + vv
         for s in range(nv):
-            for start in range(nu):
-                length = 0
-                cap = min(nv, nu)
-                while length < cap and du[start + length] == dv[s + length]:
-                    length += 1
-                if 2 * length > nv:
-                    rest = dv[s + length : s + nv]
-                    u_rot = du[start : start + nu]
-                    cand = cyclic_reduce(invert_word(rest) + u_rot[length:])
-                    if len(cand) < nu:
-                        return cand
+            piece = dv[s : s + h]
+            for start in starts.get(hash(piece), ()):
+                if du[start : start + h] == piece:  # 2h > nv: the result is shorter than u
+                    return cyclic_reduce(invert_word(dv[s + h : s + nv]) + du[start + h : start + nu])
     return None
 
 
@@ -471,7 +469,7 @@ def _pushout_presentation(
     relators = list(q1.relators)
     relators += [shift(r) for r in q2.relators]
     for idx in range(src.num_generators):
-        relators.append(free_reduce(e1.images[idx] + invert_word(shift(e2.images[idx]))))
+        relators.append(e1.images[idx] + invert_word(shift(e2.images[idx])))
     return presentation(n1 + n2, relators)
 
 

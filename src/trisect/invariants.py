@@ -21,6 +21,7 @@ from .intmatrix import (
 )
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
+DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; groups imports it, so the CLI shares it
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
@@ -192,7 +193,7 @@ class PoincareReport:
 _S4_HOMOLOGY = ((1, ()), (0, ()), (0, ()), (0, ()), (1, ()))
 
 
-def poincare_candidate_check(d: TrisectionDiagram, tietze_budget: int = 10_000) -> PoincareReport:
+def poincare_candidate_check(d: TrisectionDiagram, tietze_budget: int = DEFAULT_TIETZE_BUDGET) -> PoincareReport:
     """Screen a diagram as a homotopy-4-sphere candidate.
 
     Never raises: a diagram whose pairs fail the standardness check simply

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisect.groups as groups
-from conftest import moved_diagrams
+from conftest import FIXTURES, moved_diagrams
 from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, stabilize, standard_diagram
 from trisect.groups import (
     CUBE_EDGES,
@@ -33,7 +34,8 @@ from trisect.groups import (
     verify_cube,
 )
 from trisect.intmatrix import IntMatrix, lattice_basis
-from trisect.invariants import homology
+from trisect.invariants import VERDICT_TRIVIAL_PI1, homology, poincare_candidate_check
+from trisect.textio import parse, serialize
 from trisect.words import cyclic_reduce, invert_word
 
 
@@ -88,6 +90,62 @@ def presentations(draw):
         return presentation(0, [])
     tokens = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
     return presentation(n, draw(st.lists(st.lists(tokens, min_size=1, max_size=8), max_size=6)))
+
+
+@st.composite
+def shorten_pairs(draw):
+    """Cyclically reduced (u, v), where u usually holds more than half of a
+    cyclic piece of v or v^-1, so that most pairs take the shortening branch."""
+    tokens = st.integers(1, draw(st.integers(1, 3))).flatmap(lambda g: st.sampled_from((g, -g)))
+    u = draw(st.lists(tokens, max_size=12))
+    v = draw(st.lists(tokens, max_size=10).map(cyclic_reduce).filter(lambda w: len(w) >= 2))
+    if draw(st.integers(0, 7)):
+        vv = draw(st.sampled_from((v, invert_word(v))))
+        s = draw(st.integers(0, len(v) - 1))
+        length = draw(st.integers(len(v) // 2 + 1, len(v)))
+        pos = draw(st.integers(0, len(u)))
+        u[pos:pos] = (vv + vv)[s : s + length]
+    return cyclic_reduce(u), v
+
+
+def reference_shorten(u, v):
+    """Shortening by the letter-by-letter scan: every candidate match is
+    extended as far as it goes, in the order (v before v^-1, piece start,
+    start in u)."""
+    nu, nv = len(u), len(v)
+    if nu == 0 or nv < 2:
+        return None
+    du = u + u
+    for vv in (v, invert_word(v)):
+        dv = vv + vv
+        for s in range(nv):
+            for start in range(nu):
+                length = 0
+                cap = min(nv, nu)
+                while length < cap and du[start + length] == dv[s + length]:
+                    length += 1
+                if 2 * length > nv:
+                    rest = dv[s + length : s + nv]
+                    u_rot = du[start : start + nu]
+                    cand = cyclic_reduce(invert_word(rest) + u_rot[length:])
+                    if len(cand) < nu:
+                        return cand
+    return None
+
+
+def r12_diagram():
+    """R12: S4 stabilized 12 times and slid 120 times, all drawn from Random(12).
+    Its raw pi1 has total relator length 9,988."""
+    rng = random.Random(12)
+    d = standard_diagram("S4")
+    for _ in range(12):
+        d = stabilize(d, rng.choice(FAMILY_NAMES))
+    for _ in range(120):
+        i, j = rng.sample(range(12), 2)
+        conjugator = [rng.choice([1, -1]) * rng.randint(1, 24) for _ in range(6)]
+        family = rng.choice(FAMILY_NAMES)
+        d = slide_family(d, family, i, j, conjugator, rng.choice((1, -1)))
+    return d
 
 
 def _normalize_relators(relators, normal=()):
@@ -146,7 +204,7 @@ def reference_tietze(p, budget):
         found = None
         for i, u in enumerate(rels):
             for j, v in enumerate(rels):
-                if i != j and (cand := groups._shorten(u, v)) is not None:
+                if i != j and (cand := reference_shorten(u, v)) is not None:
                     found = (i, cand)
                     break
             if found:
@@ -322,6 +380,29 @@ class TestTietze:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    @settings(max_examples=500, deadline=None)
+    @given(shorten_pairs())
+    def test_shorten_matches_reference_scan(self, pair):
+        u, v = pair
+        assert groups._shorten(u, v) == reference_shorten(u, v)
+
+    def test_shorten_memory_is_linear_and_fast(self):
+        # aperiodic words on disjoint letters: every piece of v is looked up
+        # and none matches.  An index keyed by the windows themselves would
+        # peak at 35 MB on these words, and the letter-by-letter scan takes 43 s
+        rng = random.Random(7)
+        u = tuple(rng.choice((1, 2)) for _ in range(3000))
+        v = tuple(rng.choice((3, 4)) for _ in range(3000))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            assert groups._shorten(u, v) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert time.perf_counter() - start < 5
 
     def test_preserves_group_invariants(self, library):
         for d in library.items():
@@ -761,3 +842,26 @@ def test_cube_edges_constant_is_a_cube():
     assert out_degree["surface"] == 3
     assert all(out_degree[f"handlebody_{f}"] == 2 for f in ("alpha", "beta", "gamma"))
     assert in_degree["total"] == 3
+
+
+class TestR12:
+    """A 12-times stabilized, 120-times slid S4.  Tietze trivializes its pi1
+    with 244 shortening moves among its steps, 4 of them by budget 20."""
+
+    @pytest.fixture(scope="class")
+    def r12(self):
+        return parse((FIXTURES / "r12.tri").read_text())
+
+    def test_fixture_is_the_recipe(self, r12):
+        assert serialize(r12_diagram()) == (FIXTURES / "r12.tri").read_text()
+        assert sum(map(len, pi1_presentation(r12).relators)) == 9988
+
+    def test_budget_20(self, r12):
+        q = tietze_simplify(pi1_presentation(r12), 20)
+        assert (q.num_generators, len(q.relators), max(map(len, q.relators))) == (8, 18, 3579)
+
+    def test_poincare_check_trivializes_at_default_budget(self, r12):
+        # with the letter-by-letter shortening scan this took 111 s
+        start = time.perf_counter()
+        assert poincare_candidate_check(r12).verdict == VERDICT_TRIVIAL_PI1
+        assert time.perf_counter() - start < 30
