@@ -65,6 +65,7 @@ from .groups import (
     diagram_hom_count,
     pi1_presentation,
     presentation,
+    reduced_pi1,
     tietze_simplify,
     verify_cube,
 )

@@ -27,7 +27,7 @@ from .groups import (
     build_cube,
     count_homs,
     pi1_presentation,
-    tietze_simplify,
+    reduced_pi1,
     verify_cube,
 )
 from .invariants import (
@@ -91,9 +91,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_pi1(args) -> int:
     d = _read_trisection(args.file)
-    p = pi1_presentation(d)
-    if args.simplify is not None:
-        p = tietze_simplify(p, args.simplify)
+    p = pi1_presentation(d) if args.simplify is None else reduced_pi1(d, args.simplify)
     for line in format_presentation(p):
         print(line)
     rank, torsion = abelianize_presentation(p)
@@ -144,7 +142,7 @@ def _cmd_homcount(args) -> int:
     degree = int(args.target[1:])
     if args.cap < 0:  # a usage error, reported before the simplification
         raise ValueError("cap must be nonnegative")
-    p = tietze_simplify(pi1_presentation(d), args.simplify)
+    p = reduced_pi1(d, args.simplify)
     count = count_homs(p, degree, cap=args.cap)
     print(f"target: S{degree}")
     print(f"generators: {p.num_generators}")

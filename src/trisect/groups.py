@@ -136,9 +136,13 @@ def abelianize_presentation(p: Presentation) -> tuple[int, tuple[int, ...]]:
 
 def _canonical_rotation(w: Word) -> Word:
     """Lexicographically least rotation of w or of its inverse."""
+    if not w:
+        return ()
+    iw = invert_word(w)
+    m = min(min(w), min(iw))  # a least rotation starts at the least letter
     n = len(w)  # rotations are the length-n slices of the doubled word
     # a generator, so only the best rotation so far is alive: O(n) memory
-    return min((v[s : s + n] for v in (w + w, invert_word(w) * 2) for s in range(n)), default=())
+    return min(v[s : s + n] for v in (w + w, iw * 2) for s in range(n) if v[s] == m)
 
 
 def _canonical(w) -> Word:
@@ -304,6 +308,20 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     return free * count
 
 
+def reduced_pi1(d: TrisectionDiagram, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
+    """``tietze_simplify(pi1_presentation(d), budget)``, once per diagram object and budget.
+
+    The immutable ``d`` keeps each result in a dict by budget, outside its
+    fields, so its equality, hash and text are unchanged.  Only results are
+    kept, so a negative budget raises ``ValueError`` on every call.
+    """
+    kept = vars(d).get("_reduced_pi1", {})
+    if budget not in kept:
+        kept = {**kept, budget: tietze_simplify(pi1_presentation(d), budget)}
+        object.__setattr__(d, "_reduced_pi1", kept)
+    return kept[budget]
+
+
 def diagram_hom_count(
     d: TrisectionDiagram,
     degree: int,
@@ -315,9 +333,11 @@ def diagram_hom_count(
     The count is a group invariant and Tietze moves preserve the group, so
     simplifying first changes nothing except feasibility: raw enumeration
     over 2g generators is hopeless once a diagram has been stabilized a few
-    times.
+    times.  The reduction is :func:`reduced_pi1`, so counts into several
+    targets and :func:`~trisect.invariants.poincare_candidate_check` on one
+    diagram object share it.
     """
-    return count_homs(tietze_simplify(pi1_presentation(d), simplify_budget), degree, cap)
+    return count_homs(reduced_pi1(d, simplify_budget), degree, cap)
 
 
 # --- the cube of groups -------------------------------------------------

@@ -197,15 +197,17 @@ def poincare_candidate_check(d: TrisectionDiagram, tietze_budget: int = DEFAULT_
     """Screen a diagram as a homotopy-4-sphere candidate.
 
     Never raises: a diagram whose pairs fail the standardness check simply
-    does not match the 4-sphere's homology.
+    does not match the 4-sphere's homology.  The Tietze reduction of pi1 is
+    :func:`~trisect.groups.reduced_pi1`, which hom counts on the same
+    diagram object share.
     """
-    from .groups import pi1_presentation, tietze_simplify
+    from .groups import reduced_pi1
 
     try:
         matches = homology(d) == _S4_HOMOLOGY
     except NotHomologicallyStandard:
         matches = False
-    trivialized = tietze_simplify(pi1_presentation(d), tietze_budget).num_generators == 0
+    trivialized = reduced_pi1(d, tietze_budget).num_generators == 0
     if not matches:
         verdict = VERDICT_NOT_SPHERE
     elif trivialized:

@@ -11,6 +11,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import trisect.cli as cli
+import trisect.groups as groups
 from conftest import FIXTURES
 
 
@@ -30,11 +31,11 @@ def test_cli_imports_no_private_name():
 def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):
     calls = Counter()
 
-    def counted(*args, _fn=cli.tietze_simplify):
+    def counted(*args, _fn=groups.tietze_simplify):
         calls["tietze_simplify"] += 1
         return _fn(*args)
 
-    monkeypatch.setattr(cli, "tietze_simplify", counted)
+    monkeypatch.setattr(groups, "tietze_simplify", counted)
     path = str(FIXTURES / "cp2.tri")
     assert cli.main(["homcount", path, "--target", "s3", "--cap", "-1"]) == 2
     out = capsys.readouterr()
@@ -59,7 +60,7 @@ def test_form_check_failure_is_one_line_error(monkeypatch, capsys):
 
 
 # r12 is left out: its mutants reach the same checks as the small fixtures,
-# but budget 50 does not keep a call on them short (one took 24 s in Tietze)
+# but budget 50 does not keep a call on them short (one takes about 5 s in Tietze)
 FIXTURE_LINES = tuple(
     tuple(p.read_text().splitlines()) for p in sorted(FIXTURES.glob("*.tri")) if p.stem != "r12"
 )

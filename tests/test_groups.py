@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 import tracemalloc
@@ -5,7 +6,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trisect.groups as groups
 from conftest import FIXTURES, moved_diagrams
@@ -29,12 +30,18 @@ from trisect.groups import (
     diagram_hom_count,
     pi1_presentation,
     presentation,
+    reduced_pi1,
     relator_matrix,
     tietze_simplify,
     verify_cube,
 )
 from trisect.intmatrix import IntMatrix, lattice_basis
-from trisect.invariants import VERDICT_TRIVIAL_PI1, homology, poincare_candidate_check
+from trisect.invariants import (
+    DEFAULT_TIETZE_BUDGET,
+    VERDICT_TRIVIAL_PI1,
+    homology,
+    poincare_candidate_check,
+)
 from trisect.textio import parse, serialize
 from trisect.words import cyclic_reduce, invert_word
 
@@ -45,6 +52,9 @@ def rel(*texts):
 
 
 COMMUTATOR = (1, 2, -1, -2)
+
+
+LETTERS_TO_8 = st.integers(min_value=1, max_value=8).flatmap(lambda x: st.sampled_from((x, -x)))
 
 
 def reference_count_homs(p, degree):
@@ -259,6 +269,71 @@ class TestPi1:
             assert abelianize_presentation(pi1_presentation(d)) == homology(d)[1]
 
 
+def count_reductions(monkeypatch):
+    """Record the budget of every ``groups.tietze_simplify`` call from now on."""
+    budgets = []
+
+    def counted(p, budget=DEFAULT_TIETZE_BUDGET, _fn=groups.tietze_simplify):
+        budgets.append(budget)
+        return _fn(p, budget)
+
+    monkeypatch.setattr(groups, "tietze_simplify", counted)
+    return budgets
+
+
+def slid_sum_text():
+    summed = connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3"))
+    return serialize(slide_family(stabilize(summed, "alpha"), "beta", 0, 2, (3,)))
+
+
+class TestReducedPi1:
+    def test_is_the_tietze_reduction_of_pi1(self, library):
+        for name, d in library.items():
+            for budget in (0, 5, DEFAULT_TIETZE_BUDGET):
+                assert reduced_pi1(d, budget) == tietze_simplify(pi1_presentation(d), budget), name
+
+    def test_one_reduction_per_diagram_and_budget(self, monkeypatch):
+        d = parse(slid_sum_text())
+        budgets = count_reductions(monkeypatch)
+        # pi1 of CP2 # S1xS3 is Z: every image of the generator gives a hom
+        assert diagram_hom_count(d, 3) == 6
+        assert diagram_hom_count(d, 5) == 120
+        assert not poincare_candidate_check(d).homology_matches_s4
+        assert budgets == [DEFAULT_TIETZE_BUDGET]
+        assert diagram_hom_count(d, 3, simplify_budget=7) == 6
+        assert reduced_pi1(d, 7) is reduced_pi1(d, 7)
+        assert budgets == [DEFAULT_TIETZE_BUDGET, 7]
+
+    def test_not_shared_across_equal_diagrams(self, monkeypatch):
+        d = parse(slid_sum_text())
+        budgets = count_reductions(monkeypatch)
+        first = reduced_pi1(d)
+        twin = parse(serialize(d))
+        assert twin == d and twin is not d
+        second = reduced_pi1(twin)
+        assert second == first and second is not first
+        assert len(budgets) == 2
+
+    def test_leaves_equality_hash_and_text(self):
+        text = slid_sum_text()
+        d, twin = parse(text), parse(text)
+        before = (hash(d), repr(d), serialize(d))
+        reduced_pi1(d)
+        reduced_pi1(d, 3)
+        assert d == twin and twin == d and d == parse(serialize(d))
+        assert (hash(d), repr(d), serialize(d)) == before
+        assert hash(d) == hash(twin) and serialize(d) == text
+
+    def test_negative_budget_raises_on_every_call(self):
+        d = parse(slid_sum_text())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                reduced_pi1(d, -1)
+        reduced_pi1(d)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            diagram_hom_count(d, 3, simplify_budget=-1)
+
+
 class TestAbelianize:
     def test_examples(self):
         assert abelianize_presentation(presentation(2, [COMMUTATOR])) == (2, ())
@@ -362,7 +437,15 @@ class TestTietze:
         assert calls["rotation"] <= 1000
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=3).flatmap(lambda x: st.sampled_from((x, -x)))))
+    @given(
+        st.one_of(
+            st.lists(LETTERS_TO_8),
+            # periodic words, where many rotations start at the least letter
+            st.builds(operator.mul, st.lists(LETTERS_TO_8, min_size=1, max_size=4), st.integers(2, 6)),
+        )
+    )
+    @example([1, 2] * 5)
+    @example([-3, 1, 3, -1] * 3)
     def test_canonical_rotation_matches_list_form(self, w):
         w = tuple(w)
         n = len(w)
@@ -859,6 +942,22 @@ class TestR12:
     def test_budget_20(self, r12):
         q = tietze_simplify(pi1_presentation(r12), 20)
         assert (q.num_generators, len(q.relators), max(map(len, q.relators))) == (8, 18, 3579)
+
+    def test_mutant_simplify_budget_50_is_bounded(self):
+        # r12.tri less words 2 and 1,230 of its alpha line, counting "alpha"
+        # as word 0: its relators reach 44,789 letters, and comparing every
+        # rotation of each took 42 s where a start at the least letter takes 5
+        lines = []
+        for line in (FIXTURES / "r12.tri").read_text().splitlines():
+            words = line.split()
+            if words and words[0] == "alpha":
+                line = " ".join(words[:2] + words[3:1230] + words[1231:])
+            lines.append(line + "\n")
+        d = parse("".join(lines))
+        start = time.perf_counter()
+        q = tietze_simplify(pi1_presentation(d), 50)
+        assert time.perf_counter() - start < 15
+        assert (q.num_generators, len(q.relators), sum(map(len, q.relators))) == (5, 10, 10071)
 
     def test_poincare_check_trivializes_at_default_budget(self, r12):
         # with the letter-by-letter shortening scan this took 111 s

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import trisect.groups as groups
 import trisect.invariants as invariants_module
 from conftest import FIXTURES, moved_diagrams
 from trisect.diagrams import (
@@ -10,6 +11,7 @@ from trisect.diagrams import (
     connected_sum,
     heegaard_diagram,
     slide_family,
+    stabilize,
     standard_diagram,
 )
 from test_intmatrix import symplectic_form
@@ -355,13 +357,26 @@ class TestPoincare:
         assert report.verdict == VERDICT_NOT_SPHERE
 
     def test_triple_stabilized_s4(self):
-        from trisect.diagrams import stabilize
-
         d = standard_diagram("S4")
         for fam in ("alpha", "beta", "gamma"):
             d = stabilize(d, fam)
         report = poincare_candidate_check(d)
         assert report.verdict == VERDICT_TRIVIAL_PI1
+
+    def test_shares_one_reduction_with_hom_counts(self, monkeypatch):
+        d = standard_diagram("S4")
+        for fam in ("alpha", "beta", "gamma"):
+            d = stabilize(d, fam)
+        d = slide_family(d, "gamma", 0, 2, (1,))
+        budgets = []
+        real = groups.tietze_simplify
+        monkeypatch.setattr(groups, "tietze_simplify", lambda p, b: budgets.append(b) or real(p, b))
+        assert poincare_candidate_check(d).verdict == VERDICT_TRIVIAL_PI1
+        assert groups.diagram_hom_count(d, 3) == 1
+        assert groups.diagram_hom_count(d, 5) == 1
+        assert budgets == [invariants_module.DEFAULT_TIETZE_BUDGET]
+        assert poincare_candidate_check(d, tietze_budget=2).homology_matches_s4
+        assert budgets == [invariants_module.DEFAULT_TIETZE_BUDGET, 2]
 
     def test_never_raises_on_nonstandard_pairs(self):
         d = standard_diagram("CP2")
