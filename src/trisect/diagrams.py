@@ -90,6 +90,14 @@ class TrisectionDiagram:
     def families(self) -> tuple[CutSystem, CutSystem, CutSystem]:
         return (self.alpha, self.beta, self.gamma)
 
+    def _keep(self, key, compute):
+        """``compute()`` once per object and ``key``, kept outside the fields so
+        equality, hash, repr and text hold; a raise is not kept."""
+        kept = vars(self).setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
 
 def _system(words, genus: int) -> CutSystem:
     """Unchecked :class:`CutSystem` from cyclically reduced words known to form one."""
@@ -239,20 +247,20 @@ _STANDARD = {
     "S4": (0, [], [], []),
     "CP2": (1, ["a1"], ["b1"], ["a1 b1"]),
     "CP2BAR": (1, ["a1"], ["b1"], ["a1 B1"]),
-    "S1XS3": (1, ["a1"], ["a1"], ["a1"]),
+    "S1xS3": (1, ["a1"], ["a1"], ["a1"]),
     # Complex-projective-plane pattern on handle 1 against the dual pattern
     # on handle 2; the words are fixed so the intersection form is the
     # rank-2 hyperbolic form (checked by the invariants test suite).
-    "S2XS2": (2, ["a1", "a2"], ["b1", "b2"], ["a1 b2", "a2 b1"]),
+    "S2xS2": (2, ["a1", "a2"], ["b1", "b2"], ["a1 b2", "a2 b1"]),
 }
 
-STANDARD_NAMES = ("S4", "CP2", "CP2BAR", "S1xS3", "S2xS2")
+STANDARD_NAMES = tuple(_STANDARD)
 
 
 def standard_diagram(name: str) -> TrisectionDiagram:
     """A diagram from the built-in library; see :data:`STANDARD_NAMES`."""
-    key = name.upper()
-    if key not in _STANDARD:
+    key = next((k for k in _STANDARD if k.upper() == name.upper()), None)
+    if key is None:
         raise ValueError(f"unknown standard diagram {name!r} (choose from {', '.join(STANDARD_NAMES)})")
     genus, alpha, beta, gamma = _STANDARD[key]
     return trisection_diagram(

@@ -311,15 +311,10 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
 def reduced_pi1(d: TrisectionDiagram, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
     """``tietze_simplify(pi1_presentation(d), budget)``, once per diagram object and budget.
 
-    The immutable ``d`` keeps each result in a dict by budget, outside its
-    fields, so its equality, hash and text are unchanged.  Only results are
-    kept, so a negative budget raises ``ValueError`` on every call.
+    Only results are kept on ``d``, so a negative budget raises
+    ``ValueError`` on every call.
     """
-    kept = vars(d).get("_reduced_pi1", {})
-    if budget not in kept:
-        kept = {**kept, budget: tietze_simplify(pi1_presentation(d), budget)}
-        object.__setattr__(d, "_reduced_pi1", kept)
-    return kept[budget]
+    return d._keep(("reduced_pi1", budget), lambda: tietze_simplify(pi1_presentation(d), budget))
 
 
 def diagram_hom_count(

@@ -54,22 +54,16 @@ def pair_k(h: HeegaardDiagram) -> int:
 
 
 def k_triple(d: TrisectionDiagram) -> tuple[int, int, int]:
-    """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha).
+    """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha), kept
+    on ``d``; a diagram with a non-standard pair raises on every call."""
+    return d._keep("k_triple", lambda: tuple(map(_named_pair_k, PAIR_NAMES, heegaard_pairs(d))))
 
-    Computed once per diagram object: the immutable ``d`` keeps the result.
-    Only a result is kept, so a non-standard diagram raises on every call.
-    """
-    ks = vars(d).get("_k_triple")
-    if ks is None:
-        out = []
-        for name, h in zip(PAIR_NAMES, heegaard_pairs(d)):
-            try:
-                out.append(pair_k(h))
-            except NotHomologicallyStandard as exc:
-                raise NotHomologicallyStandard(exc.divisors, pair_name=name) from None
-        ks = tuple(out)
-        object.__setattr__(d, "_k_triple", ks)
-    return ks
+
+def _named_pair_k(name: str, h: HeegaardDiagram) -> int:
+    try:
+        return pair_k(h)
+    except NotHomologicallyStandard as exc:
+        raise NotHomologicallyStandard(exc.divisors, pair_name=name) from None
 
 
 def euler_characteristic(d: TrisectionDiagram) -> int:
@@ -106,29 +100,28 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     pulls back to Q_K = K_beta M K_alpha^T, where M[i][j] = -<beta_i, alpha_j>
     is the beta-alpha intersection matrix.  By Poincare duality the form's
     radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
-    unimodular of size b2, whether or not H1 has torsion.  The Gram matrix
-    is taken on the complement of the radical given by its Smith form, so it
-    is a deterministic function of the diagram; only its congruence class is
-    an invariant.  Refuses a diagram with a non-standard pair, like
-    :func:`k_triple`.
+    unimodular of size b2, whether or not H1 has torsion.  With Q_K checked
+    symmetric and U Q_K V = D its Smith form, the rows of U past the rank
+    span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the first rows
+    of U, has Q_K's Smith divisors: it is unimodular of size b2 iff they are
+    b2 ones.  The Gram matrix is a deterministic function of the diagram;
+    only its congruence class is an invariant.  Refuses a non-standard pair.
     """
-    chi = euler_characteristic(d)
-    g = d.genus
+    g, chi = d.genus, euler_characteristic(d)
     kern = left_kernel(_curve_matrix(d))
     betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
     m = _matrix(tuple(tuple(-symplectic_pairing(b, a, g) for a in alphas) for b in betas), g)
     k_beta = _matrix(tuple(z[:g] for z in kern.rows), g)
     k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern.rows), g)
     qk = k_beta @ m @ k_alpha.transpose()
-    rad_divisors, vinv = _smith(left_kernel(qk), ("vinv",))
-    basis = _matrix(vinv.rows[len(rad_divisors) :], kern.nrows)
-    q = basis @ qk @ basis.transpose()
-    if q != q.transpose():
+    if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    b1 = kern.nrows - g  # K has rank 3g - (2g - b1)
-    if q.nrows != chi - 2 + 2 * b1 or abs(q.determinant()) != 1:
+    divisors, u = _smith(qk, ("u",))
+    b2 = chi - 2 + 2 * (kern.nrows - g)  # K has rank 3g - (2g - b1)
+    if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
-    return q
+    basis = _matrix(u.rows[: len(divisors)], kern.nrows)
+    return basis @ qk @ basis.transpose()
 
 
 @dataclass(frozen=True)

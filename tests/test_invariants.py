@@ -215,17 +215,23 @@ class TestFormProperties:
         assert form_invariants(intersection_form(connected_sum(d1, d2))) == expected
 
 
-def reference_form(d):
-    """The form by the dense formula (K_beta L_beta) J (-K_alpha L_alpha)^T on
-    the curve kernel K, on the complement of its radical from its Smith form."""
+def dense_kernel_form(d):
+    """Q_K by the dense formula (K_beta L_beta) J (-K_alpha L_alpha)^T on the
+    curve kernel K."""
     g = d.genus
     la, lb = d.alpha.matrix(), d.beta.matrix()
     kern = left_kernel(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g))
     lifts = IntMatrix([z[:g] for z in kern.rows], g) @ lb
     alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern.rows], g) @ la
-    qk = lifts @ symplectic_form(g) @ alpha_parts.transpose()
-    rad_divisors, vinv = _smith(left_kernel(qk), ("vinv",))
-    basis = IntMatrix(vinv.rows[len(rad_divisors) :], kern.nrows)
+    return lifts @ symplectic_form(g) @ alpha_parts.transpose()
+
+
+def reference_form(d):
+    """The dense Q_K on the complement of its radical spanned by the first
+    rows of U in its Smith form."""
+    qk = dense_kernel_form(d)
+    divisors, u = _smith(qk, ("u",))
+    basis = IntMatrix(u.rows[: len(divisors)], qk.nrows)
     return basis @ qk @ basis.transpose()
 
 
@@ -234,9 +240,44 @@ class TestFormReference:
     @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
     def test_moved_and_summed(self, d1, d2):
         # the beta-alpha intersection matrix pulled back to the kernel is the
-        # same integer matrix as the dense product through J
+        # same integer matrix as the dense product through J; whatever the
+        # complement, Q_K is congruent to q ⊕ 0, so their invariants agree
         for d in (d1, connected_sum(d1, d2)):
-            assert intersection_form(d) == reference_form(d)
+            q = intersection_form(d)
+            assert q == reference_form(d)
+            assert form_invariants(q) == form_invariants(dense_kernel_form(d))
+
+
+class TestFormRuntimeChecks:
+    # each runtime check of intersection_form refuses a forged pairing or b2
+    def slid_sum(self):
+        summed = connected_sum(standard_diagram("CP2"), standard_diagram("S2xS2"))
+        return slide_family(summed, "beta", 1, 0)
+
+    def test_unimodularity(self, monkeypatch):
+        real = invariants_module.symplectic_pairing
+        monkeypatch.setattr(invariants_module, "symplectic_pairing", lambda u, v, g: 2 * real(u, v, g))
+        with pytest.raises(ArithmeticError, match="not unimodular"):
+            intersection_form(self.slid_sum())
+
+    def test_rank_b2(self, monkeypatch):
+        real = invariants_module.euler_characteristic
+        monkeypatch.setattr(invariants_module, "euler_characteristic", lambda d: real(d) + 1)
+        with pytest.raises(ArithmeticError, match="rank b2"):
+            intersection_form(self.slid_sum())
+
+    def test_symmetry(self, monkeypatch):
+        # an unslid library sum stays symmetric under this forgery
+        d = self.slid_sum()
+        b0, a0 = d.beta.curves[0].homology, d.alpha.curves[0].homology
+        real = invariants_module.symplectic_pairing
+
+        def forged(u, v, g):
+            return real(u, v, g) + (u == b0 and v == a0)
+
+        monkeypatch.setattr(invariants_module, "symplectic_pairing", forged)
+        with pytest.raises(ArithmeticError, match="not symmetric"):
+            intersection_form(d)
 
 
 class TestFormInvariants:
