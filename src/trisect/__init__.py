@@ -17,8 +17,6 @@ from .words import (
 )
 from .intmatrix import (
     IntMatrix,
-    lattice_basis,
-    left_kernel,
     quotient_invariants,
     symplectic_pairing,
 )

@@ -13,7 +13,7 @@ from functools import cache
 from itertools import permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
-from .intmatrix import IntMatrix, _matrix, lattice_basis, quotient_invariants
+from .intmatrix import IntMatrix, quotient_invariants
 from .invariants import DEFAULT_TIETZE_BUDGET, k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
@@ -447,24 +447,27 @@ class CubeReport:
 
 
 def _check_edge(
-    edge: CubeEdge, src: Presentation, tgt: Presentation, tgt_basis: IntMatrix
+    edge: CubeEdge, src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]]
 ) -> EdgeCheck:
     nt, images = tgt.num_generators, edge.images
+    tgt_rows = [_exponent_vector(r, nt) for r in tgt.relators]
     covered = {abs(w[0]) for w in images if len(w) == 1}
     if covered >= set(range(1, nt + 1)):
         surjectivity = "exact"
     else:
-        rows = [_exponent_vector(w, nt) for w in images]
-        rows += [_exponent_vector(r, nt) for r in tgt.relators]
+        rows = tgt_rows + [_exponent_vector(w, nt) for w in images]
         free, torsion = quotient_invariants(nt, IntMatrix(rows, nt))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
 
     def image(r):  # left unreduced: cancellation keeps exponent sums
         return [x for t in r for x in (images[t - 1] if t > 0 else invert_word(images[-t - 1]))]
 
-    # lattice bases are canonical: adding the images keeps the basis iff they lie in it
-    image_rows = tuple(tuple(_exponent_vector(image(r), nt)) for r in src.relators)
-    mapped = lattice_basis(_matrix(tgt_basis.rows + image_rows, nt)) == tgt_basis
+    # With L the target's relator lattice and L' = L + images, Z^n/L -> Z^n/L'
+    # is onto.  Finitely generated abelian groups are Hopfian, so if the two
+    # have equal invariants the map is an isomorphism: L' = L, and the images
+    # already lie in L.  Unequal invariants put some image outside L.
+    rows = tgt_rows + [_exponent_vector(image(r), nt) for r in src.relators]
+    mapped = quotient_invariants(nt, IntMatrix(rows, nt)) == tgt_abelian
     return EdgeCheck(edge.source, edge.target, surjectivity, mapped)
 
 
@@ -506,10 +509,10 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     are identical.  Only on a mismatch are the two reduced presentations
     abelianized: ``HomologicallyVerified`` when the abelianizations agree,
     ``Failed`` when they differ.  Tietze moves keep the group, so these are
-    also the abelianizations of the raw presentations.  Lattice bases and
-    Tietze forms are built only for the edges and faces that need them, at
-    most once each per call.  A negative budget is a usage error
-    (``ValueError``), even when the rules settle every face.
+    also the abelianizations of the raw presentations.  Abelianizations of
+    edge targets and Tietze forms are computed only for the edges and faces
+    that need them, at most once each per call.  A negative budget is a
+    usage error (``ValueError``), even when the rules settle every face.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -541,11 +544,11 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         if v[e.source].num_generators == v[e.target].num_generators
         and e.images == tuple((i,) for i in range(1, v[e.source].num_generators + 1))
     }
-    bases = cache(lambda name: lattice_basis(relator_matrix(v[name])))
+    abelian = cache(lambda name: abelianize_presentation(v[name]))
     edge_checks = tuple(
         EdgeCheck(e.source, e.target, "exact", True)
         if (e.source, e.target) in identities and relators[e.source] <= relators[e.target]
-        else _check_edge(e, v[e.source], v[e.target], bases(e.target))
+        else _check_edge(e, v[e.source], v[e.target], abelian(e.target))
         for e in cube.edges
     )
     reduced = cache(lambda name: tietze_simplify(v[name], budget))

@@ -1,4 +1,4 @@
-"""Exact integer matrices: Smith normal form, lattice bases, symplectic pairing.
+"""Exact integer matrices: Smith normal form, quotient invariants, symplectic pairing.
 
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
@@ -10,7 +10,6 @@ constructor's coercion and shape checks through ``_matrix``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 
@@ -212,73 +211,6 @@ def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[i
         raise ValueError(f"matrix has {mat.ncols} columns, ambient rank is {ambient_rank}")
     divisors = _smith(mat)[0]
     return ambient_rank - len(divisors), tuple(x for x in divisors if x > 1)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
-def lattice_basis(mat: IntMatrix) -> IntMatrix:
-    """Canonical basis (row Hermite form) of the lattice spanned by the rows.
-
-    Rows are in pivot-column order with positive pivots; entries above a
-    pivot are reduced into [0, pivot).  Two matrices span the same lattice
-    iff their canonical bases are equal.
-    """
-    n = mat.ncols
-    basis: list[list[int]] = []
-    pivcol: list[int] = []
-    for row in mat.rows:
-        vec = list(row)
-        while True:
-            j = next((k for k, x in enumerate(vec) if x), None)
-            if j is None:
-                break
-            pos = bisect_left(pivcol, j)
-            if pos < len(pivcol) and pivcol[pos] == j:
-                b = basis[pos]
-                a, c = b[j], vec[j]
-                if c % a == 0:
-                    q = c // a
-                    for k in range(j, n):
-                        vec[k] -= q * b[k]
-                else:
-                    g, x, y = _xgcd(a, c)
-                    qa, qc = a // g, c // g
-                    basis[pos] = [x * b[k] + y * vec[k] for k in range(n)]
-                    vec = [qa * vec[k] - qc * b[k] for k in range(n)]
-            else:
-                basis.insert(pos, vec)
-                pivcol.insert(pos, j)
-                break
-    for idx in range(len(basis)):
-        if basis[idx][pivcol[idx]] < 0:
-            basis[idx] = [-x for x in basis[idx]]
-    for idx in range(len(basis)):
-        p = pivcol[idx]
-        dpv = basis[idx][p]
-        for above in range(idx):
-            q = basis[above][p] // dpv
-            if q:
-                basis[above] = [basis[above][k] - q * basis[idx][k] for k in range(n)]
-    return _matrix(tuple(map(tuple, basis)), n)
-
-
-def left_kernel(mat: IntMatrix) -> IntMatrix:
-    """Canonical basis of the integer solutions of x @ mat = 0."""
-    divisors, u = _smith(mat, ("u",))
-    return lattice_basis(_matrix(u.rows[len(divisors) :], mat.nrows))
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int], genus: int) -> int:

@@ -14,7 +14,6 @@ from .intmatrix import (
     IntMatrix,
     _matrix,
     _smith,
-    left_kernel,
     quotient_invariants,
     stack_rows,
     symplectic_pairing,
@@ -74,17 +73,26 @@ def euler_characteristic(d: TrisectionDiagram) -> int:
 def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """H_0..H_4 as (free rank, torsion divisors) pairs.
 
-    H1 is the cokernel of the three stacked curve matrices; H3 is its free
-    part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
+    H1 is the cokernel of the three stacked curve matrices, read off the
+    divisors of their Smith form, which :func:`intersection_form` shares;
+    H3 is its free part and H2 carries its torsion, with free rank
+    b2 = chi - 2 + 2*b1.
     """
-    b1, torsion = quotient_invariants(2 * d.genus, _curve_matrix(d))
+    divisors = _curve_smith(d)[0]
+    b1, torsion = 2 * d.genus - len(divisors), tuple(x for x in divisors if x > 1)
     b2 = euler_characteristic(d) - 2 + 2 * b1
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
 
-def _curve_matrix(d: TrisectionDiagram) -> IntMatrix:
-    """The stacked curve matrix [L_beta; L_alpha; L_gamma]."""
-    return stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix())
+def _curve_smith(d: TrisectionDiagram) -> tuple:
+    """``(divisors, U)`` of the stacked curve matrix [L_beta; L_alpha; L_gamma],
+    kept on ``d``."""
+    return d._keep(
+        "curve_smith",
+        lambda: _smith(
+            stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix()), ("u",)
+        ),
+    )
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
@@ -92,7 +100,7 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
 
     The form comes from one integer kernel (Feller-Klug-Schirmer-Zemke).  A
     row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
-    matrix [L_beta; L_alpha; L_gamma] gives x = z_beta L_beta, whose
+    matrix C = [L_beta; L_alpha; L_gamma] gives x = z_beta L_beta, whose
     alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  For every
     trisection, FKSZ (arXiv:1711.04762) identify H2 with
     (L_beta ∩ (L_alpha + L_gamma)) / (L_beta ∩ L_alpha + L_beta ∩ L_gamma)
@@ -100,7 +108,9 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     pulls back to Q_K = K_beta M K_alpha^T, where M[i][j] = -<beta_i, alpha_j>
     is the beta-alpha intersection matrix.  By Poincare duality the form's
     radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
-    unimodular of size b2, whether or not H1 has torsion.  With Q_K checked
+    unimodular of size b2, whether or not H1 has torsion.  K is taken as the
+    rows of U past the rank in the Smith form U C V = D that :func:`homology`
+    shares: they are a basis of the left kernel of C.  With Q_K checked
     symmetric and U Q_K V = D its Smith form, the rows of U past the rank
     span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the first rows
     of U, has Q_K's Smith divisors: it is unimodular of size b2 iff they are
@@ -108,19 +118,20 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     only its congruence class is an invariant.  Refuses a non-standard pair.
     """
     g, chi = d.genus, euler_characteristic(d)
-    kern = left_kernel(_curve_matrix(d))
+    curve_divisors, curve_u = _curve_smith(d)
+    kern = curve_u.rows[len(curve_divisors) :]
     betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
     m = _matrix(tuple(tuple(-symplectic_pairing(b, a, g) for a in alphas) for b in betas), g)
-    k_beta = _matrix(tuple(z[:g] for z in kern.rows), g)
-    k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern.rows), g)
+    k_beta = _matrix(tuple(z[:g] for z in kern), g)
+    k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern), g)
     qk = k_beta @ m @ k_alpha.transpose()
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     divisors, u = _smith(qk, ("u",))
-    b2 = chi - 2 + 2 * (kern.nrows - g)  # K has rank 3g - (2g - b1)
+    b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 3g - (2g - b1)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
-    basis = _matrix(u.rows[: len(divisors)], kern.nrows)
+    basis = _matrix(u.rows[: len(divisors)], len(kern))
     return basis @ qk @ basis.transpose()
 
 

@@ -23,6 +23,7 @@ from trisect.groups import (
     GroupTrisectionCube,
     MalformedCubeError,
     Presentation,
+    _check_edge,
     _pushout_presentation,
     abelianize_presentation,
     build_cube,
@@ -35,7 +36,7 @@ from trisect.groups import (
     tietze_simplify,
     verify_cube,
 )
-from trisect.intmatrix import IntMatrix, lattice_basis
+from trisect.intmatrix import IntMatrix, _smith
 from trisect.invariants import (
     DEFAULT_TIETZE_BUDGET,
     VERDICT_TRIVIAL_PI1,
@@ -264,8 +265,12 @@ class TestPi1:
         simple = tietze_simplify(p)
         assert simple.num_generators == 1 and simple.relators == ()
 
-    def test_abelianization_matches_h1(self, library):
-        for d in library.values():
+    @settings(max_examples=30, deadline=None)
+    @given(moved_diagrams(torsion=True))
+    def test_abelianization_matches_h1(self, library, moved):
+        # H1 and its torsion come from the Smith form of the curve matrix
+        # that homology keeps on the diagram; pi1 abelianizes to the same group
+        for d in (*library.values(), moved):
             assert abelianize_presentation(pi1_presentation(d)) == homology(d)[1]
 
 
@@ -681,7 +686,7 @@ class TestCube:
     @staticmethod
     def count_work(monkeypatch, cube, budget):
         calls = Counter()
-        for name in ("tietze_simplify", "abelianize_presentation", "lattice_basis"):
+        for name in ("tietze_simplify", "abelianize_presentation", "quotient_invariants"):
 
             def counted(*args, _fn=getattr(groups, name), _name=name):
                 calls[_name] += 1
@@ -703,15 +708,18 @@ class TestCube:
     def test_work_per_corrupted_cube(self, monkeypatch):
         # only the three faces that touch the corrupted sector take the Tietze
         # path: three pushouts and the two distinct sinks (the sector and
-        # total); the three edges at the sector need the bases of their two
-        # targets, each extended once per edge
+        # total); the three edges at the sector abelianize their two targets
+        # once each and extend a target's relators once per edge
         cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
         report, calls = self.count_work(monkeypatch, corrupt_sector(cube, "sector_alpha_beta"), 1000)
         touching = [f for f in report.faces if "sector_alpha_beta" in f.vertices]
         assert len(touching) == 3
         assert all(f.status == "Verified" for f in report.faces if f not in touching)
         assert calls["tietze_simplify"] == 3 + 2
-        assert calls["lattice_basis"] == 2 + 3
+        # Smith forms: those 2 + 3, the abelian surjectivity test of the
+        # sector -> total edge, and both sides of the one Failed face
+        assert [f.status for f in touching].count("Failed") == 1
+        assert calls["quotient_invariants"] == 2 + 3 + 1 + 2
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
@@ -789,21 +797,13 @@ class TestCube:
             verify_cube(bad_arity)
 
 
-def in_lattice(basis, vec):
-    """Is ``vec`` in the lattice whose canonical (Hermite) basis is ``basis``?
-    Reduces ``vec`` by the basis row at each pivot column, left to right."""
-    v = list(vec)
-    pivots = {next(k for k, x in enumerate(r) if x): r for r in basis.rows}
-    for j in range(len(v)):
-        if not v[j]:
-            continue
-        r = pivots.get(j)
-        if r is None or v[j] % r[j]:
-            return False
-        q = v[j] // r[j]
-        for k in range(j, len(v)):
-            v[k] -= q * r[k]
-    return not any(v)
+def in_rowspan(m, vec):
+    """Is ``vec`` an integer combination of the rows of ``m``?  With
+    U m^T V = D the Smith form of m^T, x m = vec has an integer solution iff
+    entry i of U vec^T is divisible by d_i below the rank and 0 past it."""
+    divisors, u = _smith(m.transpose(), ("u",))
+    uv = [sum(a * b for a, b in zip(row, vec)) for row in u.rows]
+    return all(x % p == 0 for x, p in zip(uv, divisors)) and not any(uv[len(divisors) :])
 
 
 def reference_edge(e, src, tgt):
@@ -820,11 +820,46 @@ def reference_edge(e, src, tgt):
     if all((i,) in e.images or (-i,) in e.images for i in range(1, n + 1)):
         surjectivity = "exact"
     else:
-        span = lattice_basis(IntMatrix([vector(w) for w in e.images + tgt.relators], n))
-        surjectivity = "abelian" if span == IntMatrix.identity(n) else "failed"
-    basis = lattice_basis(relator_matrix(tgt))
-    mapped = all(in_lattice(basis, vector(image(r))) for r in src.relators)
+        span = IntMatrix([vector(w) for w in e.images + tgt.relators], n)
+        onto = all(in_rowspan(span, unit) for unit in IntMatrix.identity(n).rows)
+        surjectivity = "abelian" if onto else "failed"
+    mapped = all(in_rowspan(relator_matrix(tgt), vector(image(r))) for r in src.relators)
     return EdgeCheck(e.source, e.target, surjectivity, mapped)
+
+
+@st.composite
+def random_edges(draw):
+    """A map from a random presentation on at most three generators, with
+    short relators, to another, by random short images of its generators."""
+
+    def words(n):
+        letters = st.integers(min_value=1, max_value=n).flatmap(lambda x: st.sampled_from((x, -x)))
+        return st.lists(letters, max_size=4).map(tuple)
+
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tgt = presentation(n, draw(st.lists(words(n), max_size=3)))
+    src = presentation(m, draw(st.lists(words(m), max_size=3)))
+    images = tuple(draw(st.lists(words(n), min_size=m, max_size=m)))
+    return CubeEdge("source", "target", images), src, tgt
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_edges())
+def test_check_edge_matches_membership_oracle(edge):
+    # mapped by comparing the invariants of the target's abelianization with
+    # those of its quotient by the images, against membership row by row
+    e, src, tgt = edge
+    assert _check_edge(e, src, tgt, abelianize_presentation(tgt)) == reference_edge(e, src, tgt)
+
+
+def test_check_edge_sees_torsion():
+    # <y | y> -> <x | x^2>: y -> x sends the relator outside 2Z, y -> x^4
+    # inside it; either way the quotient by the images has free rank 0
+    src, tgt = presentation(1, [(1,)]), presentation(1, [(1, 1)])
+    for image, mapped in (((1,), False), ((1, 1, 1, 1), True)):
+        e = CubeEdge("source", "target", (image,))
+        assert _check_edge(e, src, tgt, abelianize_presentation(tgt)).relators_mapped is mapped
+        assert reference_edge(e, src, tgt).relators_mapped is mapped
 
 
 def tietze_only_verify(cube, budget):

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from trisect.intmatrix import (
     IntMatrix,
     _smith,
-    lattice_basis,
-    left_kernel,
     quotient_invariants,
     stack_rows,
     symplectic_pairing,
@@ -143,18 +141,6 @@ def test_quotient_invariants_column_mismatch():
         quotient_invariants(3, IntMatrix([[1, 0]]))
 
 
-def random_matrix_with_dims(rng, r, c, bound=3):
-    return IntMatrix([[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)], c)
-
-
-def test_left_kernel():
-    m = IntMatrix([[1, 0], [2, 0]])
-    k = left_kernel(m)
-    assert k == IntMatrix([[2, -1]])
-    assert (k @ m) == IntMatrix([[0, 0]])
-    assert left_kernel(IntMatrix.identity(3)).nrows == 0
-
-
 def test_symplectic_pairing_examples():
     assert symplectic_pairing((1, 0), (0, 1), 1) == 1
     assert symplectic_pairing((3, 5), (3, 5), 1) == 0
@@ -189,23 +175,6 @@ def test_degenerate_shapes():
     assert (prod.nrows, prod.ncols) == (2, 0)
     prod = IntMatrix([(), ()]) @ IntMatrix([], ncols=3)  # 2x0 @ 0x3
     assert prod == IntMatrix([[0, 0, 0], [0, 0, 0]])
-
-
-def test_lattice_basis_canonical_under_row_mixing():
-    # unimodular row operations never change the canonical basis
-    assert lattice_basis(IntMatrix([[2, 4], [1, 3]])) == lattice_basis(IntMatrix([[1, 3], [3, 7]]))
-    rng = random.Random(17)
-    for _ in range(30):
-        r, c = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_matrix_with_dims(rng, r, c)
-        rows = [list(x) for x in m.rows]
-        for _ in range(8):
-            i, j = rng.randrange(r), rng.randrange(r)
-            if i == j:
-                continue
-            q = rng.randint(-3, 3)
-            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-        assert lattice_basis(IntMatrix(rows, c)) == lattice_basis(m)
 
 
 TRANSFORMS = ("u", "vinv")
@@ -289,4 +258,3 @@ def test_internal_results_equal_public_matrices():
     for built in (m.transpose().transpose(), m @ IntMatrix.identity(3), stack_rows(m, no_rows)):
         assert built == m and hash(built) == hash(m)
         assert isinstance(built.rows, tuple) and all(isinstance(r, tuple) for r in built.rows)
-    assert left_kernel(IntMatrix([[1, 0], [2, 0]])) == IntMatrix([[2, -1]])

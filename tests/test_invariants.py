@@ -15,7 +15,7 @@ from trisect.diagrams import (
     standard_diagram,
 )
 from test_intmatrix import symplectic_form
-from trisect.intmatrix import IntMatrix, _smith, left_kernel
+from trisect.intmatrix import IntMatrix, _smith
 from trisect.invariants import (
     FormInvariants,
     NotHomologicallyStandard,
@@ -79,6 +79,23 @@ class TestPairK:
         assert k_triple(d) == (1, 1, 1)
         assert euler_characteristic(d) == 1
         assert len(calls) == 3
+
+    def test_curve_smith_form_computed_once_per_diagram(self, monkeypatch):
+        # homology and intersection_form share one Smith form of the 3g x 2g
+        # stacked curve matrix, kept on the diagram
+        d = parse((FIXTURES / "cp2_sum_cp2bar.tri").read_text())
+        shapes = []
+        real = invariants_module._smith
+
+        def counted(m, *want):
+            shapes.append((m.nrows, m.ncols))
+            return real(m, *want)
+
+        monkeypatch.setattr(invariants_module, "_smith", counted)
+        first = homology(d)
+        intersection_form(d)
+        assert homology(d) == first
+        assert shapes.count((3 * d.genus, 2 * d.genus)) == 1
 
     def test_nonstandard_pair_raises_on_every_call(self):
         d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
@@ -217,12 +234,14 @@ class TestFormProperties:
 
 def dense_kernel_form(d):
     """Q_K by the dense formula (K_beta L_beta) J (-K_alpha L_alpha)^T on the
-    curve kernel K."""
+    curve kernel K, the rows of U past the rank in the Smith form of the
+    stacked curve matrix."""
     g = d.genus
     la, lb = d.alpha.matrix(), d.beta.matrix()
-    kern = left_kernel(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g))
-    lifts = IntMatrix([z[:g] for z in kern.rows], g) @ lb
-    alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern.rows], g) @ la
+    divisors, u = _smith(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g), ("u",))
+    kern = u.rows[len(divisors) :]
+    lifts = IntMatrix([z[:g] for z in kern], g) @ lb
+    alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern], g) @ la
     return lifts @ symplectic_form(g) @ alpha_parts.transpose()
 
 
