@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .intmatrix import IntMatrix, _matrix, quotient_invariants, symplectic_pairing
+from .intmatrix import IntMatrix, _matrix, _pairing, quotient_invariants
 from .words import (
     Word,
     abelianize_word,
@@ -127,9 +127,10 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
             )
     system = _system(words, genus)
     rows = [c.homology for c in system.curves]
+    gram = _pairing(rows[:-1], rows, genus)  # the last row has no pair above the diagonal
     for i in range(genus):
         for j in range(i + 1, genus):
-            val = symplectic_pairing(rows[i], rows[j], genus)
+            val = gram[i][j]
             if val:
                 raise InvalidCutSystemError(
                     "lagrangian",

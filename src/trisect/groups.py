@@ -506,13 +506,13 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     lattice.  Every other face's pushout presentation and claimed vertex are
     reduced by Tietze moves within the budget (each distinct claimed vertex
     once), and the reduced forms are compared first: ``Verified`` when they
-    are identical.  Only on a mismatch are the two reduced presentations
-    abelianized: ``HomologicallyVerified`` when the abelianizations agree,
-    ``Failed`` when they differ.  Tietze moves keep the group, so these are
-    also the abelianizations of the raw presentations.  Abelianizations of
-    edge targets and Tietze forms are computed only for the edges and faces
-    that need them, at most once each per call.  A negative budget is a
-    usage error (``ValueError``), even when the rules settle every face.
+    are identical.  Only on a mismatch is the reduced pushout abelianized:
+    ``HomologicallyVerified`` when it agrees with the claimed vertex's
+    abelianization (of its raw presentation; Tietze moves keep the group),
+    ``Failed`` when not.  Abelianizations of vertices and Tietze forms are
+    computed only for the edges and faces that need them, at most once
+    each per call.  A negative budget is a usage error (``ValueError``),
+    even when the rules settle every face.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -564,7 +564,7 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             left, right = tietze_simplify(pushout, budget), reduced(sink)
             if (left.num_generators, left.relators) == (right.num_generators, right.relators):
                 status = "Verified"
-            elif abelianize_presentation(left) == abelianize_presentation(right):
+            elif abelianize_presentation(left) == abelian(sink):
                 status = "HomologicallyVerified"
             else:
                 status = "Failed"

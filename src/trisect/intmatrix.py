@@ -5,12 +5,16 @@ here are small (a few dozen rows at most), and the algorithms favour
 exactness and deterministic output over asymptotics.  One Smith routine,
 ``_smith``, serves every caller, and each asks only for the transforms it
 uses (none for invariant factors).  Matrices built here skip the public
-constructor's coercion and shape checks through ``_matrix``.
+constructor's coercion and shape checks through ``_matrix``.  The matrices
+callers build are mostly zeros, so products, the pairing product ``_pairing``
+and the Smith routine's row and column operations skip zero entries; the
+results and transforms are those of the dense arithmetic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import add, neg, sub
 
 
 class IntMatrix:
@@ -45,9 +49,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
-        rows = tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows)
-        return _matrix(rows, other.ncols)
+        return _matrix(tuple(_combine(r, other.rows, other.ncols) for r in self.rows), other.ncols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,6 +100,27 @@ def _matrix(rows: tuple[tuple[int, ...], ...], ncols: int) -> IntMatrix:
     return mat
 
 
+def _combine(coeffs, rows, ncols: int) -> tuple[int, ...]:
+    """A row of a product: the sum of ``c * row`` over the nonzero ``c`` in ``coeffs``."""
+    acc = (0,) * ncols
+    for c, row in zip(coeffs, rows):
+        if c == 1:
+            acc = tuple(map(add, acc, row))
+        elif c == -1:
+            acc = tuple(map(sub, acc, row))
+        elif c:
+            acc = tuple(map(add, acc, map(c.__mul__, row)))
+    return acc
+
+
+def _pairing(a_rows, b_rows, genus: int) -> tuple[tuple[int, ...], ...]:
+    """A J B^T for rows of length 2*genus: entry (i, j) is
+    ``symplectic_pairing(a_rows[i], b_rows[j], genus)``."""
+    cols = tuple(zip(*b_rows))
+    jbt = cols[genus:] + tuple(tuple(map(neg, c)) for c in cols[:genus])
+    return tuple(_combine(a, jbt, len(b_rows)) for a in a_rows)
+
+
 def stack_rows(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.ncols != b.ncols:
         raise ValueError(f"cannot stack {a.ncols}-column and {b.ncols}-column matrices")
@@ -127,8 +150,11 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     u, vinv = eye("u", m), eye("vinv", n)
     by_rows = [x for x in (d, u) if x is not None]
 
-    def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
-        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], in place where rows[j] is nonzero
+        dst = rows[i]
+        for k, b in enumerate(rows[j]):
+            if b:
+                dst[k] += q * b
 
     def row_swap(i, j):
         for x in by_rows:
@@ -151,7 +177,8 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
 
     def col_add(i, j, q):  # col_i += q * col_j
         for r in d:
-            r[i] += q * r[j]
+            if r[j]:
+                r[i] += q * r[j]
         if vinv is not None:
             axpy(vinv, j, i, -q)
 

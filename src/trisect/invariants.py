@@ -13,10 +13,10 @@ from .diagrams import HeegaardDiagram, TrisectionDiagram, heegaard_pairs
 from .intmatrix import (
     IntMatrix,
     _matrix,
+    _pairing,
     _smith,
     quotient_invariants,
     stack_rows,
-    symplectic_pairing,
 )
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
@@ -121,10 +121,10 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     curve_divisors, curve_u = _curve_smith(d)
     kern = curve_u.rows[len(curve_divisors) :]
     betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
-    m = _matrix(tuple(tuple(-symplectic_pairing(b, a, g) for a in alphas) for b in betas), g)
+    m = _matrix(_pairing(alphas, betas, g), g).transpose()  # -<beta_i, alpha_j> = <alpha_j, beta_i>
     k_beta = _matrix(tuple(z[:g] for z in kern), g)
     k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern), g)
-    qk = k_beta @ m @ k_alpha.transpose()
+    qk = k_beta @ (m @ k_alpha.transpose())  # the sparse factor on the left of each product
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     divisors, u = _smith(qk, ("u",))
@@ -132,7 +132,7 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
     basis = _matrix(u.rows[: len(divisors)], len(kern))
-    return basis @ qk @ basis.transpose()
+    return basis @ (qk @ basis.transpose())
 
 
 @dataclass(frozen=True)

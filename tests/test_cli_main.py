@@ -3,7 +3,9 @@ functions a command called) or would make too slow (fuzzing)."""
 
 import ast
 import contextlib
+import hashlib
 import io
+import random
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -13,6 +15,9 @@ from hypothesis import given, settings, strategies as st
 import trisect.cli as cli
 import trisect.groups as groups
 from conftest import FIXTURES
+from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, standard_diagram
+from trisect.textio import serialize
+from trisect.words import token_code
 
 
 def test_cli_imports_no_private_name():
@@ -57,6 +62,46 @@ def test_form_check_failure_is_one_line_error(monkeypatch, capsys):
         assert cli.main([command, str(FIXTURES / "cp2.tri")]) == 1
         err = capsys.readouterr().err
         assert err == "error: intersection form is not unimodular of rank b2 on this diagram\n"
+
+
+def ladder_diagram(genus, seed):
+    """A connected sum of S1xS3 (g/8 copies), S2xS2 (g/4) and CP2 or CP2BAR
+    for the rest, in a seeded order, then 3g slides of each curve over the
+    next along a seeded cycle of handles, with seeded signs and conjugators
+    and the families in turn."""
+    rng = random.Random(seed)
+    names = ["S1xS3"] * (genus // 8) + ["S2xS2"] * (genus // 4)
+    names += [rng.choice(("CP2", "CP2BAR")) for _ in range(genus - genus // 8 - 2 * (genus // 4))]
+    rng.shuffle(names)
+    d = standard_diagram(names[0])
+    for name in names[1:]:
+        d = connected_sum(d, standard_diagram(name))
+    order = list(range(genus))
+    rng.shuffle(order)
+    for t in range(3 * genus):
+        conj = tuple(
+            rng.choice((1, -1)) * token_code(rng.choice("ab"), rng.randint(1, genus))
+            for _ in range(rng.randint(0, 2))
+        )
+        i, j = order[t % genus], order[(t + 1) % genus]
+        d = slide_family(d, FAMILY_NAMES[t % 3], i, j, conj, rng.choice((1, -1)))
+    return d
+
+
+def test_genus_32_form_and_invariants_pinned():
+    # a large form, built in code (not a fixture, so it stays out of the
+    # mutation corpus below), pinned by the SHA-256 of the two reports: a
+    # 28 x 28 Gram matrix and H1 = Z^4, b2 = 28, signature 4, odd
+    text = serialize(ladder_diagram(32, seed=32))
+    expected = {
+        "form": "77bd960f31b4b89518f5848ec418393fca2e7bb5a7383e8d7b6128683c60a9d8",
+        "invariants": "a33e5c1cec2be16fe6bdc43e3e6181c1ac770b850929028a6496a3b5de4efcd9",
+    }
+    for command, digest in expected.items():
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+            assert cli.main([command, "-"]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
 
 
 # r12 is left out: its mutants reach the same checks as the small fixtures,

@@ -19,11 +19,20 @@ from trisect.diagrams import (
 from trisect.intmatrix import IntMatrix, symplectic_pairing
 from trisect.invariants import k_triple
 from trisect.textio import serialize
-from trisect.words import parse_word
+from trisect.words import abelianize_word, parse_word
 
 
 def words(*texts):
     return [parse_word(t) for t in texts]
+
+
+@st.composite
+def curve_words_in_range(draw):
+    """A genus 2-4 and that many short words in its letters, most of which
+    fail the Lagrangian check."""
+    genus = draw(st.integers(2, 4))
+    letter = st.sampled_from([c for i in range(1, 2 * genus + 1) for c in (i, -i)])
+    return genus, draw(st.lists(st.lists(letter, max_size=4), min_size=genus, max_size=genus))
 
 
 class TestValidation:
@@ -57,6 +66,40 @@ class TestValidation:
         assert exc.value.reason == "lagrangian"
         assert exc.value.pair == (1, 2)
         assert exc.value.value == 1
+
+    def test_lagrangian_error_names_first_pair_in_row_order(self):
+        # (2, 3) and (1, 4) both pair nonzero; row-major order over the upper
+        # triangle reaches (1, 4) first, column-major order would name (2, 3)
+        with pytest.raises(InvalidCutSystemError) as exc:
+            cut_system(words("a1", "a2", "b2", "B1 B1"), 4, family="beta")
+        assert exc.value.reason == "lagrangian"
+        assert (exc.value.pair, exc.value.value) == ((1, 4), -2)
+        assert str(exc.value) == "beta: curves 1 and 4 have intersection number -2"
+
+    @settings(max_examples=150)
+    @given(curve_words_in_range())
+    def test_lagrangian_error_matches_pairing_loop(self, case):
+        # the first nonzero pair in the order (1, 2), (1, 3), ..., (2, 3), ...
+        genus, curve_words = case
+        rows = [abelianize_word(w, genus) for w in curve_words]
+        first = next(
+            (
+                ("lagrangian", (i + 1, j + 1), symplectic_pairing(rows[i], rows[j], genus))
+                for i in range(genus)
+                for j in range(i + 1, genus)
+                if symplectic_pairing(rows[i], rows[j], genus)
+            ),
+            None,
+        )
+        try:
+            cut_system(curve_words, genus)
+            raised = None
+        except InvalidCutSystemError as exc:
+            raised = (exc.reason, exc.pair, exc.value)
+        if first is None:
+            assert raised in (None, ("imprimitive", None, None))
+        else:
+            assert raised == first
 
     def test_rank_deficient_family(self):
         with pytest.raises(InvalidCutSystemError) as exc:

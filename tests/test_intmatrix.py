@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from trisect.intmatrix import (
     IntMatrix,
+    _matrix,
+    _pairing,
     _smith,
     quotient_invariants,
     stack_rows,
@@ -258,3 +260,179 @@ def test_internal_results_equal_public_matrices():
     for built in (m.transpose().transpose(), m @ IntMatrix.identity(3), stack_rows(m, no_rows)):
         assert built == m and hash(built) == hash(m)
         assert isinstance(built.rows, tuple) and all(isinstance(r, tuple) for r in built.rows)
+
+
+def dense_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Reference product: every entry a dot product over all of its terms."""
+    cols = list(zip(*b.rows)) if b.rows else [()] * b.ncols
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows], b.ncols)
+
+
+# mostly zeros and units, as in curve matrices, with some entries far beyond
+# any machine word
+ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.sampled_from((1, -1)), st.integers(-5, 5), st.integers(-(10**30), 10**30)
+)
+
+
+@st.composite
+def sparse_rows(draw, nrows, ncols):
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    return rows
+
+
+@st.composite
+def product_operands(draw, max_dim=5):
+    """A pair of matrices that multiply, with 0-row, 0-column and zero-row
+    operands all reachable."""
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    return IntMatrix(draw(sparse_rows(r, k)), k), IntMatrix(draw(sparse_rows(k, c)), c)
+
+
+@settings(max_examples=200)
+@given(product_operands())
+def test_product_matches_dense_reference(operands):
+    a, b = operands
+    prod = a @ b
+    assert prod == dense_product(a, b)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert all(type(x) is int for row in prod.rows for x in row)
+
+
+@st.composite
+def pairing_operands(draw, max_genus=4, max_rows=5):
+    genus = draw(st.integers(0, max_genus))
+    a_rows, b_rows = (draw(sparse_rows(draw(st.integers(0, max_rows)), 2 * genus)) for _ in "ab")
+    return genus, tuple(map(tuple, a_rows)), tuple(map(tuple, b_rows))
+
+
+@settings(max_examples=200)
+@given(pairing_operands())
+def test_pairing_matches_symplectic_pairing(case):
+    genus, a_rows, b_rows = case
+    expected = tuple(tuple(symplectic_pairing(u, v, genus) for v in b_rows) for u in a_rows)
+    assert _pairing(a_rows, b_rows, genus) == expected
+
+
+def reference_smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
+    """The dense Smith routine that ``_smith`` replaced, kept verbatim as the
+    reference for its divisors and transforms.
+
+    Smith normal form of ``mat``, tracking only the transforms in ``want``.
+
+    Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
+    of D (its length is the rank), then the transforms ``want`` names, in
+    its order, out of "u" and "vinv": unimodular U and the inverse of a
+    unimodular V with U*mat*V = D, that is U*mat = D*V^-1.  A transform not
+    asked for is never updated.  Pivots are chosen by smallest nonzero
+    absolute value, ties broken by lowest row then column, so the output is
+    deterministic and a transform does not depend on which others were
+    asked for.
+    """
+    m, n = mat.nrows, mat.ncols
+    d = [list(r) for r in mat.rows]
+
+    def eye(name, k):
+        return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
+
+    # U and V^-1 take row operations: a column operation on D is the
+    # inverse row operation on V^-1.
+    u, vinv = eye("u", m), eye("vinv", n)
+    by_rows = [x for x in (d, u) if x is not None]
+
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+
+    def row_swap(i, j):
+        for x in by_rows:
+            x[i], x[j] = x[j], x[i]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        axpy(d, i, j, q)
+        if u is not None:
+            axpy(u, i, j, q)
+
+    def row_negate(i):
+        for x in by_rows:
+            x[i] = [-e for e in x[i]]
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        if vinv is not None:
+            vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_add(i, j, q):  # col_i += q * col_j
+        for r in d:
+            r[i] += q * r[j]
+        if vinv is not None:
+            axpy(vinv, j, i, -q)
+
+    def find_pivot(t):
+        best, at = 0, None
+        for i in range(t, m):
+            row = d[i]
+            for j in range(t, n):
+                e = row[j]
+                if e and (not best or abs(e) < best):
+                    best, at = abs(e), (i, j)
+                    if best == 1:  # nothing smaller, and later ties lose
+                        return at
+        return at
+
+    t = 0
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        while True:
+            i, j = pivot
+            if i != t:
+                row_swap(i, t)
+            if j != t:
+                col_swap(j, t)
+            if d[t][t] < 0:
+                row_negate(t)
+            p = d[t][t]
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    row_add(i, t, -(d[i][t] // p))
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    col_add(j, t, -(d[t][j] // p))
+            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+                pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
+                continue
+            if p == 1:  # 1 divides everything: no row can be non-divisible
+                break
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
+            pivot = find_pivot(t)
+        t += 1
+    tracked = {"u": u, "vinv": vinv}
+    out = [tuple(d[i][i] for i in range(t))]
+    for name in want:
+        out.append(_matrix(tuple(map(tuple, tracked[name])), len(tracked[name])))
+    return tuple(out)
+
+
+@settings(max_examples=200)
+@given(st.one_of(small_matrices(max_dim=6), product_operands().map(lambda ab: ab[0])))
+def test_smith_matches_reference_smith(m):
+    # the same divisors and the same U and V^-1, so a Gram matrix built from
+    # them cannot drift
+    assert _smith(m, TRANSFORMS) == reference_smith(m, TRANSFORMS)
+    assert _smith(m, ("u",)) == reference_smith(m, ("u",))
+
+
+def test_smith_matches_reference_smith_random():
+    # a column operation meets a leftover remainder in only a few percent of
+    # dense random matrices, so sweep many of them
+    rng = random.Random(15)
+    for _ in range(1500):
+        m = random_matrix(rng, max_dim=7, bound=6)
+        assert _smith(m, TRANSFORMS) == reference_smith(m, TRANSFORMS)

@@ -274,8 +274,13 @@ class TestFormRuntimeChecks:
         return slide_family(summed, "beta", 1, 0)
 
     def test_unimodularity(self, monkeypatch):
-        real = invariants_module.symplectic_pairing
-        monkeypatch.setattr(invariants_module, "symplectic_pairing", lambda u, v, g: 2 * real(u, v, g))
+        # every intersection number doubled
+        real = invariants_module._pairing
+
+        def forged(a_rows, b_rows, g):
+            return tuple(tuple(2 * x for x in row) for row in real(a_rows, b_rows, g))
+
+        monkeypatch.setattr(invariants_module, "_pairing", forged)
         with pytest.raises(ArithmeticError, match="not unimodular"):
             intersection_form(self.slid_sum())
 
@@ -286,15 +291,21 @@ class TestFormRuntimeChecks:
             intersection_form(self.slid_sum())
 
     def test_symmetry(self, monkeypatch):
-        # an unslid library sum stays symmetric under this forgery
+        # <beta_1, alpha_1> raised by one, and <alpha_1, beta_1> lowered, in
+        # whichever order the form asks for them; an unslid library sum
+        # stays symmetric under this forgery
         d = self.slid_sum()
         b0, a0 = d.beta.curves[0].homology, d.alpha.curves[0].homology
-        real = invariants_module.symplectic_pairing
+        real = invariants_module._pairing
 
-        def forged(u, v, g):
-            return real(u, v, g) + (u == b0 and v == a0)
+        def forged(a_rows, b_rows, g):
+            rows = [list(row) for row in real(a_rows, b_rows, g)]
+            for i, u in enumerate(a_rows):
+                for j, v in enumerate(b_rows):
+                    rows[i][j] += ((u, v) == (b0, a0)) - ((u, v) == (a0, b0))
+            return tuple(map(tuple, rows))
 
-        monkeypatch.setattr(invariants_module, "symplectic_pairing", forged)
+        monkeypatch.setattr(invariants_module, "_pairing", forged)
         with pytest.raises(ArithmeticError, match="not symmetric"):
             intersection_form(d)
 
