@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or check failure, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .diagrams import (
@@ -182,6 +183,7 @@ def _cmd_poincare(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trisect",

@@ -7,8 +7,9 @@ exactness and deterministic output over asymptotics.  One Smith routine,
 uses (none for invariant factors).  Matrices built here skip the public
 constructor's coercion and shape checks through ``_matrix``.  The matrices
 callers build are mostly zeros, so products, the pairing product ``_pairing``
-and the Smith routine's row and column operations skip zero entries; the
-results and transforms are those of the dense arithmetic.
+and the Smith routine's column operations skip zero entries; its row
+operations add whole rows with C-level ``map``s.  The results and transforms
+are those of the dense arithmetic.
 """
 
 from __future__ import annotations
@@ -143,18 +144,25 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     d = [list(r) for r in mat.rows]
 
     def eye(name, k):
-        return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
+        if name not in want:
+            return None
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            rows[i][i] = 1
+        return rows
 
     # U and V^-1 take row operations: a column operation on D is the
     # inverse row operation on V^-1.
     u, vinv = eye("u", m), eye("vinv", n)
     by_rows = [x for x in (d, u) if x is not None]
 
-    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], in place where rows[j] is nonzero
-        dst = rows[i]
-        for k, b in enumerate(rows[j]):
-            if b:
-                dst[k] += q * b
+    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], one C-level map over the row
+        if q == 1:
+            rows[i] = list(map(add, rows[i], rows[j]))
+        elif q == -1:
+            rows[i] = list(map(sub, rows[i], rows[j]))
+        else:
+            rows[i] = list(map(add, rows[i], map(q.__mul__, rows[j])))
 
     def row_swap(i, j):
         for x in by_rows:
@@ -167,7 +175,7 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
 
     def row_negate(i):
         for x in by_rows:
-            x[i] = [-e for e in x[i]]
+            x[i] = list(map(neg, x[i]))
 
     def col_swap(i, j):
         for r in d:
@@ -214,11 +222,11 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
             for j in range(t + 1, n):
                 if d[t][j]:
                     col_add(j, t, -(d[t][j] // p))
+            if p == 1:  # unit pivot: no remainders are left, and 1 divides everything
+                break
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
                 continue
-            if p == 1:  # 1 divides everything: no row can be non-divisible
-                break
             bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
             if bad is None:
                 break

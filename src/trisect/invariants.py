@@ -41,12 +41,17 @@ class NotHomologicallyStandard(Exception):
 def pair_k(h: HeegaardDiagram) -> int:
     """Number k with H1 of the encoded 3-manifold equal to Z^k.
 
-    Stacks the two curve matrices and takes Smith invariants of the
-    cokernel.  Torsion-freeness is a necessary condition for the pair to be
-    standard; torsion raises :class:`NotHomologicallyStandard`.
+    H1 is Z^2g / (L_first + L_second), read off the Smith invariants of the
+    g x g intersection matrix M[i][j] = <second_i, first_j>.  If L_first is
+    a primitive Lagrangian, x -> (<x, first_j>)_j maps Z^2g onto Z^g with
+    kernel L_first, so the quotient is coker M; M and its transpose have
+    the same Smith divisors, so it is enough that one side is a validated
+    cut system.  Torsion-freeness is a necessary condition for the pair to
+    be standard; torsion raises :class:`NotHomologicallyStandard`.
     """
-    stacked = stack_rows(h.first.matrix(), h.second.matrix())
-    free, torsion = quotient_invariants(2 * h.genus, stacked)
+    g = h.genus
+    pairs = _matrix(_pairing(h.second.matrix().rows, h.first.matrix().rows, g), g)
+    free, torsion = quotient_invariants(g, pairs)
     if torsion:
         raise NotHomologicallyStandard(torsion)
     return free

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from functools import lru_cache
 
 Word = tuple[int, ...]
 
@@ -89,12 +90,7 @@ def parse_word(text: str) -> Word:
         return ()
     if not text:
         raise ValueError("empty word must be written 'e'")
-    out = []
-    for tok in text.split():
-        if _TOKEN.fullmatch(tok) is None:
-            raise ValueError(f"bad token {tok!r}")
-        out.append(token_code(tok[0].lower(), int(tok[1:]), inverted=tok[0].isupper()))
-    return tuple(out)
+    return tuple(map(_code_of_text, text.split()))
 
 
 def format_word(word: Iterable[int]) -> str:
@@ -108,16 +104,31 @@ def format_word(word: Iterable[int]) -> str:
     word = tuple(word)
     if not word:
         return "e"
-    parts = []
-    for c in word:
-        kind, index = token_kind_index(c)
-        parts.append((kind.upper() if c < 0 else kind) + str(index))
-    return " ".join(parts)
+    return " ".join(map(_text_of_code, word))
+
+
+# The codec's token tables: each distinct token is converted once.  A raise
+# is not cached, and the bound keeps a long-lived process from growing them
+# without end on ever new indices.
+@lru_cache(maxsize=4096)
+def _code_of_text(tok: str) -> int:
+    if _TOKEN.fullmatch(tok) is None:
+        raise ValueError(f"bad token {tok!r}")
+    return token_code(tok[0].lower(), int(tok[1:]), inverted=tok[0].isupper())
+
+
+@lru_cache(maxsize=4096)
+def _text_of_code(code: int) -> str:
+    kind, index = token_kind_index(code)
+    return (kind.upper() if code < 0 else kind) + str(index)
 
 
 def max_index(word: Iterable[int]) -> int:
     """Largest generator index used; 0 for the empty word."""
-    return max((token_kind_index(c)[1] for c in word), default=0)
+    word = tuple(word)
+    if 0 in word:
+        raise ValueError("0 is not a generator code")
+    return (max(map(abs, word), default=0) + 1) // 2
 
 
 def shift_indices(word: Iterable[int], offset: int) -> Word:
@@ -129,10 +140,13 @@ def shift_indices(word: Iterable[int], offset: int) -> Word:
 
 def block_index(code: int, genus: int) -> int:
     """1-based position of a token's generator in the (a_1..a_g, b_1..b_g) order."""
-    kind, i = token_kind_index(code)
+    c = abs(code)
+    if c == 0:
+        raise ValueError("0 is not a generator code")
+    i = (c + 1) // 2
     if i > genus:
         raise ValueError(f"generator index {i} exceeds genus {genus}")
-    return i if kind == "a" else genus + i
+    return i if c % 2 else genus + i
 
 
 def abelianize_word(word: Iterable[int], genus: int) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisect.cli as cli
@@ -49,6 +50,30 @@ def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):
     # the counter sees the call a valid cap makes
     assert cli.main(["homcount", path, "--target", "s3", "--cap", "0"]) == 3
     assert calls["tietze_simplify"] == 1
+
+
+def test_parser_built_once_keeps_no_state(capsys):
+    # main builds its parser once per process: repeated calls, a call after
+    # a usage error and a call after one with an option all print what the
+    # first call printed
+    path = str(FIXTURES / "cp2_sum_cp2bar.tri")
+    assert cli.build_parser() is cli.build_parser()
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first, simplified = run(["pi1", path]), run(["pi1", path, "--simplify", "50"])
+    assert first[0] == simplified[0] == 0 and first != simplified
+    assert run(["pi1", path]) == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pi1", path, "--no-such-option"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["pi1", path]) == first
+    report = run(["invariants", path])
+    assert report[0] == 0 and run(["invariants", path]) == report
 
 
 def test_form_check_failure_is_one_line_error(monkeypatch, capsys):

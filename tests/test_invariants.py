@@ -1,21 +1,24 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import trisect.groups as groups
+import trisect.intmatrix as intmatrix_module
 import trisect.invariants as invariants_module
 from conftest import FIXTURES, moved_diagrams
 from trisect.diagrams import (
+    HeegaardDiagram,
     TrisectionDiagram,
     connected_sum,
     heegaard_diagram,
+    heegaard_pairs,
     slide_family,
     stabilize,
     standard_diagram,
 )
 from test_intmatrix import symplectic_form
-from trisect.intmatrix import IntMatrix, _smith
+from trisect.intmatrix import IntMatrix, _smith, quotient_invariants, stack_rows, symplectic_pairing
 from trisect.invariants import (
     FormInvariants,
     NotHomologicallyStandard,
@@ -30,7 +33,7 @@ from trisect.invariants import (
     poincare_candidate_check,
 )
 from trisect.textio import parse, serialize
-from trisect.words import parse_word
+from trisect.words import parse_word, token_code
 
 Z = (1, ())
 ZERO = (0, ())
@@ -114,6 +117,88 @@ class TestPairK:
         assert d == twin and twin == d
         assert (hash(d), repr(d), serialize(d)) == before
         assert hash(d) == hash(twin) and serialize(d) == text
+
+
+def reference_pair_k(h):
+    """``pair_k`` as it was before it took the g x g pairing matrix: Smith
+    invariants of the stacked 2g x 2g curve matrix, verbatim."""
+    stacked = stack_rows(h.first.matrix(), h.second.matrix())
+    free, torsion = quotient_invariants(2 * h.genus, stacked)
+    if torsion:
+        raise NotHomologicallyStandard(torsion)
+    return free
+
+
+def _outcome(pair_rank, h):
+    try:
+        return pair_rank(h)
+    except NotHomologicallyStandard as exc:
+        return type(exc), exc.divisors, str(exc)
+
+
+def _lagrangian_words(genus, transvections):
+    """Words of a primitive Lagrangian: a_1..a_g moved by the symplectic
+    transvections x -> x + <x, v> v, one word a^x b^y per row."""
+    rows = [tuple(int(i == j) for j in range(2 * genus)) for i in range(genus)]
+    for v in transvections:
+        v = tuple(v[: 2 * genus])
+        rows = [tuple(x + symplectic_pairing(r, v, genus) * y for x, y in zip(r, v)) for r in rows]
+    out = []
+    for r in rows:
+        word = []
+        for i in range(genus):
+            for kind, e in (("a", r[i]), ("b", r[genus + i])):
+                word += [token_code(kind, i + 1, inverted=e < 0)] * abs(e)
+        out.append(tuple(word))
+    return out
+
+
+class TestPairKMatchesStackedReference:
+    # pair_k reads H1 of a pair off its g x g intersection matrix; the
+    # reference takes the 2g x 2g stacked curve matrix
+
+    @settings(max_examples=60, deadline=None)
+    @given(moved_diagrams(torsion=True))
+    def test_moved_diagram_pairs(self, d):
+        for h in heegaard_pairs(d):
+            assert _outcome(pair_k, h) == _outcome(reference_pair_k, h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_lagrangian_pairs(self, data):
+        # two primitive Lagrangians in general position: torsion and any
+        # free rank 0..g come up
+        genus = data.draw(st.integers(min_value=1, max_value=4))
+        vectors = st.lists(st.lists(st.integers(-2, 2), min_size=8, max_size=8), max_size=4)
+        h = heegaard_diagram(
+            genus,
+            _lagrangian_words(genus, data.draw(vectors)),
+            _lagrangian_words(genus, data.draw(vectors)),
+        )
+        assert _outcome(pair_k, h) == _outcome(reference_pair_k, h)
+
+    def test_pinned_pairs(self):
+        torsion = heegaard_diagram(1, words("a1"), words("a1 b1 b1"))
+        nonstandard = heegaard_pairs(parse((FIXTURES / "nonstandard_pair.tri").read_text()))[0]
+        d = standard_diagram("CP2")
+        forged = _forged_gamma()  # imprimitive, so only the other side is a cut system
+        pairs = [torsion, nonstandard, HeegaardDiagram(1, d.beta, forged), HeegaardDiagram(1, forged, d.alpha)]
+        for h in pairs:
+            assert _outcome(pair_k, h) == _outcome(reference_pair_k, h)
+            assert _outcome(pair_k, h)[1] == (2,)
+
+    def test_k_triple_takes_no_stacked_smith_form(self, monkeypatch):
+        d = slide_family(connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3")), "beta", 1, 0)
+        shapes = []
+        real = intmatrix_module._smith
+
+        def counted(m, *want):
+            shapes.append((m.nrows, m.ncols))
+            return real(m, *want)
+
+        monkeypatch.setattr(intmatrix_module, "_smith", counted)
+        assert k_triple(d) == (1, 1, 1)
+        assert shapes == [(d.genus, d.genus)] * 3
 
 
 def _forged_gamma():
@@ -273,8 +358,13 @@ class TestFormRuntimeChecks:
         summed = connected_sum(standard_diagram("CP2"), standard_diagram("S2xS2"))
         return slide_family(summed, "beta", 1, 0)
 
+    # each test takes k_triple before it installs its forgery, so the forged
+    # _pairing reaches the form and not the pair ranks, which share it
+
     def test_unimodularity(self, monkeypatch):
         # every intersection number doubled
+        d = self.slid_sum()
+        k_triple(d)
         real = invariants_module._pairing
 
         def forged(a_rows, b_rows, g):
@@ -282,7 +372,7 @@ class TestFormRuntimeChecks:
 
         monkeypatch.setattr(invariants_module, "_pairing", forged)
         with pytest.raises(ArithmeticError, match="not unimodular"):
-            intersection_form(self.slid_sum())
+            intersection_form(d)
 
     def test_rank_b2(self, monkeypatch):
         real = invariants_module.euler_characteristic
@@ -295,6 +385,7 @@ class TestFormRuntimeChecks:
         # whichever order the form asks for them; an unslid library sum
         # stays symmetric under this forgery
         d = self.slid_sum()
+        k_triple(d)
         b0, a0 = d.beta.curves[0].homology, d.alpha.curves[0].homology
         real = invariants_module._pairing
 

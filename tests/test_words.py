@@ -7,6 +7,7 @@ import trisect.words
 
 from trisect.words import (
     abelianize_word,
+    block_index,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -15,6 +16,7 @@ from trisect.words import (
     parse_word,
     shift_indices,
     token_code,
+    token_kind_index,
 )
 
 GENUS = 3
@@ -116,3 +118,54 @@ def test_cyclic_reduce_is_conjugacy_invariant_length(w):
     c = cyclic_reduce(w)
     for s in range(len(c)):
         assert len(cyclic_reduce(c[s:] + c[:s])) == len(c)
+
+
+# the table-driven codec: token text <-> code, with the errors of the
+# per-token arithmetic it replaced
+wide_tokens = st.integers(min_value=-400, max_value=400).filter(lambda t: t != 0)
+
+
+@given(st.lists(wide_tokens, max_size=12).map(tuple))
+def test_codec_round_trip(w):
+    text = format_word(w)
+    assert parse_word(text) == w
+    assert format_word(parse_word(text)) == text
+
+
+@given(st.lists(wide_tokens, max_size=12).map(tuple), st.integers(min_value=1, max_value=200))
+def test_index_helpers_match_token_kind_index(w, genus):
+    assert max_index(w) == max((token_kind_index(c)[1] for c in w), default=0)
+    assert max_index(iter(w)) == max_index(w)
+    for c in w:
+        kind, i = token_kind_index(c)
+        if i > genus:
+            with pytest.raises(ValueError, match=f"^generator index {i} exceeds genus {genus}$"):
+                block_index(c, genus)
+        else:
+            assert block_index(c, genus) == (i if kind == "a" else genus + i)
+
+
+def test_codec_error_texts():
+    with pytest.raises(ValueError, match="^bad token 'c2'$"):
+        parse_word("a1 c2")
+    for call in (
+        lambda: max_index((1, 0)),
+        lambda: block_index(0, 3),
+        lambda: abelianize_word((2, 0), 2),
+        lambda: format_word((1, 0)),
+    ):
+        with pytest.raises(ValueError, match="^0 is not a generator code$"):
+            call()
+    with pytest.raises(ValueError, match="^generator index 3 exceeds genus 2$"):
+        block_index(-5, 2)
+    with pytest.raises(ValueError, match="^generator index 2 exceeds genus 1$"):
+        abelianize_word(parse_word("a1 B2"), 1)
+
+
+def test_bad_token_raises_on_every_call():
+    # a raise is never cached: the same bad token fails each time, and a
+    # good word parses between the failures
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^bad token 'a0'$"):
+            parse_word("a1 a0")
+        assert parse_word("a1 b2") == (1, 4)
