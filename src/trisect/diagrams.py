@@ -99,11 +99,6 @@ class TrisectionDiagram:
         return kept[key]
 
 
-def _system(words, genus: int) -> CutSystem:
-    """Unchecked :class:`CutSystem` from cyclically reduced words known to form one."""
-    return CutSystem(genus, tuple(Curve(w, abelianize_word(w, genus)) for w in words))
-
-
 def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     """Validate curve words and build a :class:`CutSystem`.
 
@@ -125,7 +120,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                 f"token index {max_index(w)} exceeds genus {genus}",
                 family=family,
             )
-    system = _system(words, genus)
+    system = CutSystem(genus, tuple(Curve(w, abelianize_word(w, genus)) for w in words))
     rows = [c.homology for c in system.curves]
     gram = _pairing(rows[:-1], rows, genus)  # the last row has no pair above the diagonal
     for i in range(genus):
@@ -201,38 +196,52 @@ def slide_family(d: TrisectionDiagram, family: str, i: int, j: int, conjugator=(
     return replace(d, **{family: handle_slide(d.family(family), i, j, conjugator, sign)})
 
 
+def _block_sum(s1: CutSystem, s2: CutSystem) -> CutSystem:
+    """``s1`` on the first handles and ``s2``, shifted past them, on the next ones.
+
+    The block sum of two cut systems on disjoint handles is a cut system,
+    so it is built without validation.  Homology rows are the old rows
+    padded with zeros in the (a_1..a_g, b_1..b_g) layout; nothing is
+    abelianized again.
+    """
+    g1, g2 = s1.genus, s2.genus
+    z1, z2 = (0,) * g1, (0,) * g2
+    curves = tuple(Curve(c.word, c.homology[:g1] + z2 + c.homology[g1:] + z2) for c in s1.curves)
+    curves += tuple(
+        Curve(shift_indices(c.word, g1), z1 + c.homology[:g2] + z1 + c.homology[g2:])
+        for c in s2.curves
+    )
+    return CutSystem(g1 + g2, curves)
+
+
+# one handle's longitude a_1 and meridian b_1, each a cut system of genus 1
+_LONGITUDE = CutSystem(1, (Curve((token_code("a", 1),), (1, 0)),))
+_MERIDIAN = CutSystem(1, (Curve((token_code("b", 1),), (0, 1)),))
+
+
 def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
     """Raise the genus by one standard handle.
 
     The chosen family gains the meridian curve b_{g+1}; the other two
     families gain the longitude a_{g+1}.  The Euler characteristic of the
     encoded 4-manifold is unchanged: the genus and the total of the three
-    pair ranks both grow by one.  A curve on the new handle pairs to zero
-    with the old curves and extends a primitive span, so each family stays a
-    cut system and is built without validation.
+    pair ranks both grow by one.  Each family is the block sum of itself
+    and the new handle's curve.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}")
-    g = d.genus + 1
     fams = (
-        _system(s.words() + ((token_code("b" if name == family else "a", g),),), g)
+        _block_sum(s, _MERIDIAN if name == family else _LONGITUDE)
         for name, s in zip(FAMILY_NAMES, d.families())
     )
-    return TrisectionDiagram(g, *fams)
+    return TrisectionDiagram(d.genus + 1, *fams)
 
 
 def connected_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
-    """Diagrammatic connected sum: concatenate families, shifting d2's indices.
-
-    Each family is the block sum of two cut systems on disjoint handles,
-    hence a cut system, and is built without validation.
-    """
-    g = d1.genus + d2.genus
-    fams = (
-        _system(s1.words() + tuple(shift_indices(w, d1.genus) for w in s2.words()), g)
-        for s1, s2 in zip(d1.families(), d2.families())
-    )
-    return TrisectionDiagram(g, *fams)
+    """Diagrammatic connected sum: each family is the block sum of its two
+    cut systems, with d2's indices shifted past d1's handles."""
+    fams = (_block_sum(s1, s2) for s1, s2 in zip(d1.families(), d2.families()))
+    return TrisectionDiagram(d1.genus + d2.genus, *fams)
 
 
 def heegaard_pairs(d: TrisectionDiagram) -> tuple[HeegaardDiagram, HeegaardDiagram, HeegaardDiagram]:

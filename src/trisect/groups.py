@@ -194,12 +194,36 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     canonicalizes only what it changed: the substituted relators after an
     elimination, or the one shortened relator.  Generators keep their
     labels until the end, when the survivors are numbered 1..n.
+
+    The first steps are taken in bulk.  A one-letter relator sorts first
+    and its generator occurs once in it, so while one exists the loop
+    kills its generator, and it ends up killing exactly the one-letter
+    closure S: the generators of the one-letter relators, then those of
+    the one-letter relators their deletion leaves, and so on.  Killing is
+    a homomorphism of free groups, so the canonical relators after killing
+    S depend on S alone.  When |S| fits the budget, S is therefore killed
+    round by round on the cyclically reduced relators, each survivor is
+    canonicalized once, and the loop goes on with |S| fewer steps.  Otherwise the loop
+    runs from the start: one kill at a time, always of the largest
+    generator of a one-letter relator, so the kills a short budget allows
+    depend on their order.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    eliminated = set()
-    rels = {_canonical(r) for r in p.relators} - {()}
-    for _ in range(budget):
+    eliminated: set[int] = set()
+    rels = given = {cyclic_reduce(r) for r in p.relators} - {()}
+    while kill := {abs(w[0]) for w in rels if len(w) == 1}:
+        eliminated |= kill
+        if len(eliminated) > budget:
+            eliminated, rels = set(), given
+            break
+        dead = kill | {-g for g in kill}
+        rels = {
+            w if dead.isdisjoint(w) else cyclic_reduce([t for t in w if t not in dead]) for w in rels
+        }
+        rels.discard(())
+    rels = {_canonical_rotation(w) for w in rels}
+    for _ in range(budget - len(eliminated)):
         order = sorted(rels, key=lambda w: (len(w), w))
         target = None
         for r in order:

@@ -174,6 +174,18 @@ class TestMovesBuildCutSystems:
             for s in d.families():
                 assert s == cut_system(s.words(), d.genus)
 
+    @settings(max_examples=60, deadline=None)
+    @given(moved_diagrams(max_moves=6), moved_diagrams(max_moves=6))
+    def test_padded_rows_are_abelianized_words(self, d1, d2):
+        # stabilize and connected_sum pad the old rows with zeros
+        s4 = standard_diagram("S4")
+        sums = (connected_sum(d1, d2), connected_sum(d2, d1), connected_sum(d1, s4))
+        for d in (*sums, *(stabilize(d1, fam) for fam in ("alpha", "beta", "gamma"))):
+            for s in d.families():
+                assert len(s.curves) == s.genus == d.genus
+                for c in s.curves:
+                    assert c.homology == abelianize_word(c.word, d.genus)
+
     def test_moves_make_no_cut_system_calls(self, monkeypatch):
         calls = []
         checked = trisect.diagrams.cut_system

@@ -104,6 +104,19 @@ def presentations(draw):
 
 
 @st.composite
+def one_letter_presentations(draw):
+    """Presentations where most eliminations start from a one-letter relator:
+    a few one-letter relators, and short words that become one-letter
+    relators as generators die, so the one-letter closure takes several rounds."""
+    n = draw(st.integers(1, 6))
+    tokens = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    ones = draw(st.lists(tokens.map(lambda t: [t]), max_size=3))
+    short = draw(st.lists(st.lists(tokens, min_size=2, max_size=3), max_size=4))
+    longer = draw(st.lists(st.lists(tokens, min_size=1, max_size=8), max_size=2))
+    return presentation(n, draw(st.permutations(ones + short + longer)))
+
+
+@st.composite
 def shorten_pairs(draw):
     """Cyclically reduced (u, v), where u usually holds more than half of a
     cyclic piece of v or v^-1, so that most pairs take the shortening branch."""
@@ -402,6 +415,47 @@ class TestTietze:
         q = tietze_simplify(p, budget)
         q2 = tietze_simplify(presentation(p.num_generators, relators, p.names), budget)
         assert (q2.num_generators, q2.relators, q2.names) == (q.num_generators, q.relators, q.names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_letter_presentations())
+    def test_one_letter_closure_matches_reference_loop_at_every_budget(self, p):
+        # budgets below the closure's size take the one-kill-at-a-time path
+        for budget in range(p.num_generators + 2):
+            q = tietze_simplify(p, budget)
+            assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget), budget
+
+    def test_short_budget_kills_largest_one_letter_generator_first(self):
+        # killing x2 turns (x2 x3) into the one-letter relator x3, which goes
+        # before x1: the closure {x1, x2, x3} cannot be cut off after its first round
+        p = presentation(3, [(2,), (1,), (2, 3)])
+        two = tietze_simplify(p, 2)
+        assert (two.names, two.relators) == (("x1",), ((-1,),))
+        assert tietze_simplify(p, 1).names == ("x1", "x3")
+        assert tietze_simplify(p, 3).num_generators == 0
+
+    def test_one_letter_closure_canonicalizes_only_survivors(self, monkeypatch):
+        # S4 stabilized nine times: the one-letter closure leaves no relator
+        # of pi1 or of any cube vertex but the bare surface group's, and only
+        # the relators that survive it are canonicalized, each once (one
+        # canonical rotation in all, against 216 when every kill is a step)
+        d = standard_diagram("S4")
+        for fam in FAMILY_NAMES * 3:
+            d = stabilize(d, fam)
+        calls = Counter()
+
+        def counted(w, _fn=groups._canonical_rotation):
+            calls["rotation"] += 1
+            return _fn(w)
+
+        monkeypatch.setattr(groups, "_canonical_rotation", counted)
+        for p in (pi1_presentation(d), *build_cube(d).vertices.values()):
+            rels = {cyclic_reduce(r) for r in p.relators} - {()}
+            while ones := {abs(w[0]) for w in rels if len(w) == 1}:
+                rels = {cyclic_reduce([t for t in w if abs(t) not in ones]) for w in rels} - {()}
+            assert len(rels) == (p.num_generators > 0 and len(p.relators) == 1)
+            calls.clear()
+            tietze_simplify(p, 1000)
+            assert calls["rotation"] <= len(rels)
 
     def test_matches_reference_loop_on_cube_vertices(self, library):
         d = connected_sum(library["S2xS2"], library["CP2+CP2BAR"])
