@@ -16,7 +16,6 @@ from .intmatrix import IntMatrix, _matrix, _pairing, quotient_invariants
 from .words import (
     Word,
     abelianize_word,
-    conjugate,
     cyclic_reduce,
     invert_word,
     max_index,
@@ -187,7 +186,7 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
     if sign == -1:
         wj = invert_word(wj)
     row = tuple(a + sign * b for a, b in zip(curves[i].homology, curves[j].homology))
-    curves[i] = Curve(cyclic_reduce(curves[i].word + conjugate(wj, conjugator)), row)
+    curves[i] = Curve(cyclic_reduce(curves[i].word + conjugator + wj + invert_word(conjugator)), row)
     return CutSystem(g, tuple(curves))
 
 

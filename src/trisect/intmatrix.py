@@ -3,13 +3,13 @@
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
 exactness and deterministic output over asymptotics.  One Smith routine,
-``_smith``, serves every caller, and each asks only for the transforms it
-uses (none for invariant factors).  Matrices built here skip the public
-constructor's coercion and shape checks through ``_matrix``.  The matrices
-callers build are mostly zeros, so products, the pairing product ``_pairing``
-and the Smith routine's column operations skip zero entries; its row
-operations add whole rows with C-level ``map``s.  The results and transforms
-are those of the dense arithmetic.
+``_smith``, serves every caller: it returns the Smith divisors, and builds
+the left transform U only for the callers that use it.  Matrices built here
+skip the public constructor's coercion and shape checks through ``_matrix``.
+The matrices callers build are mostly zeros, so products, the pairing
+product ``_pairing`` and the Smith routine's column operations skip zero
+entries; its row operations add whole rows with C-level ``map``s.  The
+results, U included, are those of the dense arithmetic.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ class IntMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], n)
-
     def transpose(self) -> "IntMatrix":
         if self.nrows == 0:
             return _matrix(((),) * self.ncols, 0)
@@ -66,31 +62,6 @@ class IntMatrix:
         if not self.rows:
             return f"IntMatrix([], ncols={self.ncols})"
         return "IntMatrix(%r)" % [list(r) for r in self.rows]
-
-    def determinant(self) -> int:
-        """Exact determinant (fraction-free Bareiss elimination)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def _matrix(rows: tuple[tuple[int, ...], ...], ncols: int) -> IntMatrix:
@@ -122,38 +93,22 @@ def _pairing(a_rows, b_rows, genus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_combine(a, jbt, len(b_rows)) for a in a_rows)
 
 
-def stack_rows(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.ncols != b.ncols:
-        raise ValueError(f"cannot stack {a.ncols}-column and {b.ncols}-column matrices")
-    return _matrix(a.rows + b.rows, a.ncols)
+def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
+    """Smith normal form of ``mat``: ``(divisors, U)``.
 
-
-def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
-    """Smith normal form of ``mat``, tracking only the transforms in ``want``.
-
-    Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
-    of D (its length is the rank), then the transforms ``want`` names, in
-    its order, out of "u" and "vinv": unimodular U and the inverse of a
-    unimodular V with U*mat*V = D, that is U*mat = D*V^-1.  A transform not
-    asked for is never updated.  Pivots are chosen by smallest nonzero
-    absolute value, ties broken by lowest row then column, so the output is
-    deterministic and a transform does not depend on which others were
-    asked for.
+    ``divisors`` is the nonzero diagonal d1 | d2 | ... of D = U*mat*V (its
+    length is the rank).  U is unimodular, and it is built and returned only
+    ``with_u``; otherwise it is ``None`` and never updated.  Pivots are
+    chosen by smallest nonzero absolute value, ties broken by lowest row then
+    column, so the output is deterministic.
     """
     m, n = mat.nrows, mat.ncols
     d = [list(r) for r in mat.rows]
-
-    def eye(name, k):
-        if name not in want:
-            return None
-        rows = [[0] * k for _ in range(k)]
-        for i in range(k):
-            rows[i][i] = 1
-        return rows
-
-    # U and V^-1 take row operations: a column operation on D is the
-    # inverse row operation on V^-1.
-    u, vinv = eye("u", m), eye("vinv", n)
+    u = None
+    if with_u:
+        u = [[0] * m for _ in range(m)]
+        for i in range(m):
+            u[i][i] = 1
     by_rows = [x for x in (d, u) if x is not None]
 
     def axpy(rows, i, j, q):  # rows[i] += q * rows[j], one C-level map over the row
@@ -180,15 +135,11 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        if vinv is not None:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_add(i, j, q):  # col_i += q * col_j
         for r in d:
             if r[j]:
                 r[i] += q * r[j]
-        if vinv is not None:
-            axpy(vinv, j, i, -q)
 
     def find_pivot(t):
         best, at = 0, None
@@ -233,11 +184,7 @@ def _smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
             row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
             pivot = find_pivot(t)
         t += 1
-    tracked = {"u": u, "vinv": vinv}
-    out = [tuple(d[i][i] for i in range(t))]
-    for name in want:
-        out.append(_matrix(tuple(map(tuple, tracked[name])), len(tracked[name])))
-    return tuple(out)
+    return tuple(d[i][i] for i in range(t)), (None if u is None else _matrix(tuple(map(tuple, u)), m))
 
 
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:

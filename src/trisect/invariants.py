@@ -10,14 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .diagrams import HeegaardDiagram, TrisectionDiagram, heegaard_pairs
-from .intmatrix import (
-    IntMatrix,
-    _matrix,
-    _pairing,
-    _smith,
-    quotient_invariants,
-    stack_rows,
-)
+from .intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
 DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; groups imports it, so the CLI shares it
@@ -95,7 +88,8 @@ def _curve_smith(d: TrisectionDiagram) -> tuple:
     return d._keep(
         "curve_smith",
         lambda: _smith(
-            stack_rows(stack_rows(d.beta.matrix(), d.alpha.matrix()), d.gamma.matrix()), ("u",)
+            _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus),
+            with_u=True,
         ),
     )
 
@@ -132,7 +126,7 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     qk = k_beta @ (m @ k_alpha.transpose())  # the sparse factor on the left of each product
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    divisors, u = _smith(qk, ("u",))
+    divisors, u = _smith(qk, with_u=True)
     b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 3g - (2g - b1)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")

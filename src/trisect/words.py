@@ -71,12 +71,6 @@ def invert_word(word: Iterable[int]) -> Word:
     return tuple(-t for t in reversed(tuple(word)))
 
 
-def conjugate(word: Iterable[int], by: Iterable[int]) -> Word:
-    """``by * word * by^-1``, freely reduced."""
-    by = tuple(by)
-    return free_reduce(by + tuple(word) + invert_word(by))
-
-
 def parse_word(text: str) -> Word:
     """Parse ``a1 b2 A1`` style text; the empty word must be written ``e``.
 

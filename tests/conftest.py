@@ -68,3 +68,30 @@ def moved_diagrams(draw, max_moves: int = 8, torsion: bool = False):
 @pytest.fixture
 def move_engine():
     return random_move_sequence
+
+
+def determinant(m) -> int:
+    """Exact determinant of a square ``IntMatrix`` by fraction-free Bareiss
+    elimination: the tests' oracle for unimodularity and for signs."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -129,6 +129,100 @@ def test_genus_32_form_and_invariants_pinned():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
 
 
+# the SHA-256 of stdout and the exit code of each command on each fixture,
+# so that code that should not change a report is tested for byte-identity
+# (r12 is pinned by TestR12 in test_groups.py)
+FIXTURE_COMMANDS = {
+    "invariants": ["invariants"],
+    "form": ["form"],
+    "pi1": ["pi1", "--simplify", "10000"],
+    "cube": ["cube", "--verify", "100"],
+}
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+FIXTURE_REPORTS = {
+    "cp2": {
+        "invariants": (0, "196663382060c0b3b6b745e61a0ae05a712b6f9a0a5de45d3b7e949ed9179814"),
+        "form": (0, "7952eb06383fd8c608943b17fef3f218b27512d08e895d41f092c7d2ab6ba026"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "cp2_sum_cp2bar": {
+        "invariants": (0, "df43e78136fb947e4d8fc05bf4bad0315157e702194eaf5b538d42e254318c17"),
+        "form": (0, "9e47f35f7d5b57ba5e49dd4e89fada848b0534e68c3541c383cbc53f77995f7a"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "cp2bar": {
+        "invariants": (0, "57964e56a81e2bd99e6ecbc1c763179dbc8c6c368069136a8184b78cb903ff15"),
+        "form": (0, "75d103f424f21a7d84df591647ebadbac9f35cdd4b3a4c4d8c60d133c4c5197d"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "h1_torsion": {
+        "invariants": (0, "9628e257fa7d78bfda414fa790388f9dad44399b317722cfd163bc8f7b7059c2"),
+        "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
+        "pi1": (0, "e60b0535fd14ac2f4f78129ba61fe33be72de877afcd7a710fb5eb3a4dd4b26f"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "heegaard_boring": {
+        "invariants": (2, EMPTY),
+        "form": (2, EMPTY),
+        "pi1": (2, EMPTY),
+        "cube": (2, EMPTY),
+    },
+    "invalid_imprimitive": {
+        "invariants": (1, EMPTY),
+        "form": (1, EMPTY),
+        "pi1": (1, EMPTY),
+        "cube": (1, EMPTY),
+    },
+    "noisy": {
+        "invariants": (0, "196663382060c0b3b6b745e61a0ae05a712b6f9a0a5de45d3b7e949ed9179814"),
+        "form": (0, "7952eb06383fd8c608943b17fef3f218b27512d08e895d41f092c7d2ab6ba026"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "nonstandard_pair": {
+        "invariants": (1, "248a33e1071669d4d622b76e4bd783efb31d8de2698273939d19ecf8b59c069d"),
+        "form": (1, EMPTY),
+        "pi1": (0, "e60b0535fd14ac2f4f78129ba61fe33be72de877afcd7a710fb5eb3a4dd4b26f"),
+        "cube": (1, EMPTY),
+    },
+    "s1xs3": {
+        "invariants": (0, "7b690b8cda9832965505ea8ddf64ef5250d109f7997e07c4f72906c7321f842d"),
+        "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
+        "pi1": (0, "f6fdc79643f017210532ed1502e34b2fd24c1e0412621f7edff3f42628050e71"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "s2xs2": {
+        "invariants": (0, "d1daf3f37fe753d5535dc13ea0e2c650782156250ac88ed4c145dac52e91047a"),
+        "form": (0, "3f9a0f9a9dbc2e13ef017b3ef3d5dbdc3e9b70d0d498b6d992723d54ced7f44a"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+    "s4": {
+        "invariants": (0, "5bfa96194e376298ae5ed92c1a93db4fb1651f434840206770689aafb8f7a799"),
+        "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
+        "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
+    },
+}
+
+
+def test_every_fixture_but_r12_has_pinned_reports():
+    assert sorted(FIXTURE_REPORTS) == sorted(p.stem for p in FIXTURES.glob("*.tri") if p.stem != "r12")
+
+
+@pytest.mark.parametrize("stem", sorted(FIXTURE_REPORTS))
+def test_fixture_reports_pinned(stem):
+    for name, command in FIXTURE_COMMANDS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command[0], str(FIXTURES / f"{stem}.tri"), *command[1:]])
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert (code, digest) == FIXTURE_REPORTS[stem][name], name
+
+
 # r12 is left out: its mutants reach the same checks as the small fixtures,
 # but budget 50 does not keep a call on them short (one takes about 5 s in Tietze)
 FIXTURE_LINES = tuple(

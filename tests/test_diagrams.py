@@ -19,7 +19,7 @@ from trisect.diagrams import (
 from trisect.intmatrix import IntMatrix, symplectic_pairing
 from trisect.invariants import k_triple
 from trisect.textio import serialize
-from trisect.words import abelianize_word, parse_word
+from trisect.words import abelianize_word, cyclic_reduce, free_reduce, invert_word, parse_word
 
 
 def words(*texts):
@@ -114,6 +114,14 @@ class TestValidation:
         assert sys.curves[0].word == parse_word("a1")
 
 
+def reference_slid_word(wi, wj, conjugator, sign):
+    """Curve i's word after a slide, with the conjugate c * w_j^sign * c^-1
+    freely reduced on its own before it is appended and the whole reduced."""
+    c = tuple(conjugator)
+    conjugate = free_reduce(c + (wj if sign == 1 else invert_word(wj)) + invert_word(c))
+    return cyclic_reduce(wi + conjugate)
+
+
 class TestHandleSlide:
     def test_basic_slide(self):
         sys = cut_system(words("a1", "a2"), 2)
@@ -138,6 +146,29 @@ class TestHandleSlide:
             handle_slide(sys, 0, 1, sign=2)
         with pytest.raises(ValueError):
             handle_slide(sys, 0, 1, conjugator=parse_word("a3"))
+
+    def test_unreduced_conjugator(self):
+        sys = cut_system(words("a1 b1", "a2 B2"), 2)
+        out = handle_slide(sys, 0, 1, parse_word("a1 A1 b2"))
+        assert out.curves[0].word == parse_word("a1 b1 b2 a2 B2 B2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_slid_word_matches_reduced_conjugate(self, data):
+        # the slide reduces w_i c w_j^sign c^-1 in one pass; free reduction is
+        # confluent, so that equals reducing the conjugate first, also for
+        # conjugators that are not reduced themselves
+        g = 3
+        letter = st.sampled_from([c for i in range(1, 2 * g + 1) for c in (i, -i)])
+        sys = cut_system(words("a1 b1", "a2 B2", "a3"), g)
+        for _ in range(data.draw(st.integers(1, 6))):
+            i, j = data.draw(st.permutations(range(g)))[:2]
+            x = data.draw(letter)
+            conj = (*data.draw(st.lists(letter, max_size=3)), x, -x, *data.draw(st.lists(letter, max_size=3)))
+            sign = data.draw(st.sampled_from((1, -1)))
+            expected = reference_slid_word(sys.curves[i].word, sys.curves[j].word, conj, sign)
+            sys = handle_slide(sys, i, j, conj, sign)
+            assert sys.curves[i].word == expected
 
     def test_random_slides_preserve_validity(self):
         # row operations keep the span Lagrangian and primitive, so a slide

@@ -856,7 +856,7 @@ def in_rowspan(m, vec):
     """Is ``vec`` an integer combination of the rows of ``m``?  With
     U m^T V = D the Smith form of m^T, x m = vec has an integer solution iff
     entry i of U vec^T is divisible by d_i below the rank and 0 past it."""
-    divisors, u = _smith(m.transpose(), ("u",))
+    divisors, u = _smith(m.transpose(), with_u=True)
     uv = [sum(a * b for a, b in zip(row, vec)) for row in u.rows]
     return all(x % p == 0 for x, p in zip(uv, divisors)) and not any(uv[len(divisors) :])
 
@@ -876,7 +876,7 @@ def reference_edge(e, src, tgt):
         surjectivity = "exact"
     else:
         span = IntMatrix([vector(w) for w in e.images + tgt.relators], n)
-        onto = all(in_rowspan(span, unit) for unit in IntMatrix.identity(n).rows)
+        onto = all(in_rowspan(span, [int(i == j) for j in range(n)]) for i in range(n))
         surjectivity = "abelian" if onto else "failed"
     mapped = all(in_rowspan(relator_matrix(tgt), vector(image(r))) for r in src.relators)
     return EdgeCheck(e.source, e.target, surjectivity, mapped)

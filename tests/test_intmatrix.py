@@ -1,19 +1,14 @@
 import math
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisect.intmatrix import (
-    IntMatrix,
-    _matrix,
-    _pairing,
-    _smith,
-    quotient_invariants,
-    stack_rows,
-    symplectic_pairing,
-)
+from conftest import determinant
+from trisect.intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants, symplectic_pairing
+
+EYE3 = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def symplectic_form(genus: int) -> IntMatrix:
@@ -40,7 +35,7 @@ def minor_gcd_divisors(m: IntMatrix):
         for rows in combinations(range(m.nrows), k):
             for cols in combinations(range(m.ncols), k):
                 sub = IntMatrix([[m.rows[i][j] for j in cols] for i in rows], k)
-                g = math.gcd(g, sub.determinant())
+                g = math.gcd(g, determinant(sub))
                 if g == prev:
                     break
             if g == prev:
@@ -50,6 +45,21 @@ def minor_gcd_divisors(m: IntMatrix):
         divisors.append(g // prev)
         prev = g
     return divisors
+
+
+def test_determinant_oracle_matches_leibniz():
+    # the tests' Bareiss determinant against the permutation expansion, on
+    # mostly-zero matrices whose elimination meets zero pivots and row swaps
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        m = IntMatrix([[rng.choice((0, 0, 1, -1, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)], n)
+        expected = sum(
+            math.prod(m.rows[i][p[i]] for i in range(n))
+            * (-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+            for p in permutations(range(n))
+        )
+        assert determinant(m) == expected
 
 
 def random_matrix(rng, max_dim=5, bound=4):
@@ -66,12 +76,16 @@ def diagonal(divisors, nrows, ncols):
 
 
 def assert_snf_contract(m):
-    """U·M = D·V⁻¹ with U, V⁻¹ unimodular and D = diag(d1 | d2 | ...), d_i > 0."""
-    divisors, u, vinv = _smith(m, ("u", "vinv"))
+    """U·M = D·V⁻¹ with U, V⁻¹ unimodular and D = diag(d1 | d2 | ...), d_i > 0,
+    checked on ``reference_smith``, which keeps V⁻¹; ``_smith`` returns the
+    same divisors, and the same U when asked for it."""
+    divisors, u, vinv = reference_smith(m, TRANSFORMS)
+    assert _smith(m, with_u=True) == (divisors, u)
+    assert _smith(m) == (divisors, None)
     d = diagonal(divisors, m.nrows, m.ncols)
     assert u @ m == d @ vinv
-    assert u.determinant() in (1, -1)
-    assert vinv.determinant() in (1, -1)
+    assert determinant(u) in (1, -1)
+    assert determinant(vinv) in (1, -1)
     nonzero = list(divisors)
     assert len(nonzero) <= min(m.nrows, m.ncols)
     assert all(x > 0 for x in nonzero)
@@ -87,7 +101,7 @@ def test_snf_example_2x2():
 
 
 def test_snf_identity():
-    nonzero = assert_snf_contract(IntMatrix.identity(3))
+    nonzero = assert_snf_contract(EYE3)
     assert nonzero == [1, 1, 1]
 
 
@@ -98,10 +112,10 @@ def test_snf_zero_matrix():
 
 
 def test_snf_empty_shapes():
-    for m in (IntMatrix([], ncols=0), IntMatrix([], ncols=3)):
-        divisors, u, vinv = _smith(m, ("u", "vinv"))
-        assert divisors == () and u.nrows == 0
-        assert vinv == IntMatrix.identity(m.ncols)
+    for m, eye in ((IntMatrix([], ncols=0), IntMatrix([], ncols=0)), (IntMatrix([], ncols=3), EYE3)):
+        divisors, u = _smith(m, with_u=True)
+        assert divisors == () and u == IntMatrix([], ncols=0)
+        assert reference_smith(m, TRANSFORMS)[2] == eye
         assert_snf_contract(m)
 
 
@@ -154,7 +168,7 @@ def test_symplectic_pairing_matches_form_matrix():
     for g in (1, 2, 3):
         j = symplectic_form(g)
         assert j.transpose() == IntMatrix([[-x for x in row] for row in j.rows])
-        assert j.determinant() in (1, -1)
+        assert determinant(j) in (1, -1)
         for _ in range(10):
             u = [rng.randint(-3, 3) for _ in range(2 * g)]
             v = [rng.randint(-3, 3) for _ in range(2 * g)]
@@ -225,18 +239,23 @@ def test_smith_divisors_match_sympy():
 @settings(max_examples=80)
 @given(small_matrices(max_dim=5))
 def test_smith_requested_transforms(m):
-    full = dict(zip(TRANSFORMS, _smith(m, TRANSFORMS)[1:]))
+    # _smith builds U only on request, and asking for it changes no divisor;
+    # in the reference no transform depends on which others are kept, so the
+    # contract checked with V^-1 holds for the U that _smith returns
+    full = dict(zip(TRANSFORMS, reference_smith(m, TRANSFORMS)[1:]))
     u, vinv = (full[name] for name in TRANSFORMS)
-    divisors = _smith(m)[0]
+    divisors = reference_smith(m)[0]
     assert u @ m == diagonal(divisors, m.nrows, m.ncols) @ vinv
-    assert abs(u.determinant()) == 1
-    assert abs(vinv.determinant()) == 1
+    assert abs(determinant(u)) == 1
+    assert abs(determinant(vinv)) == 1
     for k in range(len(TRANSFORMS) + 1):
         for want in combinations(TRANSFORMS, k):
-            got = _smith(m, want)
+            got = reference_smith(m, want)
             assert got[0] == divisors
             assert got[1:] == tuple(full[name] for name in want)
-    assert _smith(m, ("vinv", "u"))[1:] == (vinv, u)
+    assert reference_smith(m, ("vinv", "u"))[1:] == (vinv, u)
+    assert _smith(m) == (divisors, None)
+    assert _smith(m, with_u=True) == (divisors, u)
 
 
 def test_public_constructor_checks_shape():
@@ -257,7 +276,7 @@ def test_public_constructor_coerces_entries():
 def test_internal_results_equal_public_matrices():
     m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     no_rows = IntMatrix([], ncols=3)
-    for built in (m.transpose().transpose(), m @ IntMatrix.identity(3), stack_rows(m, no_rows)):
+    for built in (m.transpose().transpose(), m @ EYE3, _matrix(m.rows + no_rows.rows, 3)):
         assert built == m and hash(built) == hash(m)
         assert isinstance(built.rows, tuple) and all(isinstance(r, tuple) for r in built.rows)
 
@@ -318,7 +337,8 @@ def test_pairing_matches_symplectic_pairing(case):
 
 def reference_smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
     """The dense Smith routine that ``_smith`` replaced, kept verbatim as the
-    reference for its divisors and transforms.
+    reference for its divisors and U, and as the one routine that still
+    returns V^-1 for the full contract U*mat = D*V^-1.
 
     Smith normal form of ``mat``, tracking only the transforms in ``want``.
 
@@ -423,10 +443,10 @@ def reference_smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
 @settings(max_examples=200)
 @given(st.one_of(small_matrices(max_dim=6), product_operands().map(lambda ab: ab[0])))
 def test_smith_matches_reference_smith(m):
-    # the same divisors and the same U and V^-1, so a Gram matrix built from
-    # them cannot drift
-    assert _smith(m, TRANSFORMS) == reference_smith(m, TRANSFORMS)
-    assert _smith(m, ("u",)) == reference_smith(m, ("u",))
+    # the same divisors and the same U, so a Gram matrix built from them
+    # cannot drift
+    assert _smith(m, with_u=True) == reference_smith(m, ("u",))
+    assert _smith(m)[0] == reference_smith(m)[0]
 
 
 def test_smith_matches_reference_smith_random():
@@ -435,4 +455,5 @@ def test_smith_matches_reference_smith_random():
     rng = random.Random(15)
     for _ in range(1500):
         m = random_matrix(rng, max_dim=7, bound=6)
-        assert _smith(m, TRANSFORMS) == reference_smith(m, TRANSFORMS)
+        assert _smith(m, with_u=True) == reference_smith(m, ("u",))
+        assert _smith(m)[0] == reference_smith(m)[0]
