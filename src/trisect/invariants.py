@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagrams import HeegaardDiagram, TrisectionDiagram, heegaard_pairs
+from .diagrams import CutSystem, HeegaardDiagram, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants
 
 PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
@@ -42,25 +42,35 @@ def pair_k(h: HeegaardDiagram) -> int:
     cut system.  Torsion-freeness is a necessary condition for the pair to
     be standard; torsion raises :class:`NotHomologicallyStandard`.
     """
-    g = h.genus
-    pairs = _matrix(_pairing(h.second.matrix().rows, h.first.matrix().rows, g), g)
-    free, torsion = quotient_invariants(g, pairs)
+    return _pair_rank(_pair_matrix(h.first, h.second, h.genus))
+
+
+def _pair_matrix(first: CutSystem, second: CutSystem, g: int) -> IntMatrix:
+    """The g x g intersection matrix M[i][j] = <second_i, first_j> of a pair."""
+    return _matrix(_pairing(second.matrix().rows, first.matrix().rows, g), g)
+
+
+def _pair_rank(m: IntMatrix, pair_name: str | None = None) -> int:
+    """The free rank of coker ``m``; torsion raises, naming the pair."""
+    free, torsion = quotient_invariants(m.ncols, m)
     if torsion:
-        raise NotHomologicallyStandard(torsion)
+        raise NotHomologicallyStandard(torsion, pair_name)
     return free
+
+
+def _pair_matrices(d: TrisectionDiagram) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """The three pairs' intersection matrices, kept on ``d``:
+    P_ab = <beta_i, alpha_j>, P_bg = <gamma_i, beta_j>, P_ga = <alpha_i, gamma_j>."""
+    fams = d.families()
+    return d._keep("pair_matrices", lambda: tuple(map(_pair_matrix, fams, fams[1:] + fams[:1], (d.genus,) * 3)))
 
 
 def k_triple(d: TrisectionDiagram) -> tuple[int, int, int]:
     """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha), kept
-    on ``d``; a diagram with a non-standard pair raises on every call."""
-    return d._keep("k_triple", lambda: tuple(map(_named_pair_k, PAIR_NAMES, heegaard_pairs(d))))
-
-
-def _named_pair_k(name: str, h: HeegaardDiagram) -> int:
-    try:
-        return pair_k(h)
-    except NotHomologicallyStandard as exc:
-        raise NotHomologicallyStandard(exc.divisors, pair_name=name) from None
+    on ``d``: the Smith invariants of the pairs' intersection matrices, which
+    :func:`homology` and :func:`intersection_form` share.  A diagram with a
+    non-standard pair raises on every call."""
+    return d._keep("k_triple", lambda: tuple(map(_pair_rank, _pair_matrices(d), PAIR_NAMES)))
 
 
 def euler_characteristic(d: TrisectionDiagram) -> int:
@@ -71,63 +81,69 @@ def euler_characteristic(d: TrisectionDiagram) -> int:
 def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """H_0..H_4 as (free rank, torsion divisors) pairs.
 
-    H1 is the cokernel of the three stacked curve matrices, read off the
-    divisors of their Smith form, which :func:`intersection_form` shares;
-    H3 is its free part and H2 carries its torsion, with free rank
-    b2 = chi - 2 + 2*b1.
+    H1 is Z^2g / (L_alpha + L_beta + L_gamma).  beta must be a validated cut
+    system, as in every diagram built by ``parse``, ``cut_system`` or the
+    moves: then L_beta is a primitive Lagrangian, x -> (<x, beta_j>)_j maps
+    Z^2g onto Z^g with kernel L_beta, and H1 is the cokernel of the images of
+    L_alpha and L_gamma, the rows of the 2g x g matrix N = [P_ab^T; P_bg] of
+    two kept pair matrices (those of -alpha_i and gamma_i).  H1 is read off
+    the divisors of N's Smith form, which :func:`intersection_form` shares:
+    b1 = g - rank N.  H3 is its free part and H2 carries its torsion, with
+    free rank b2 = chi - 2 + 2*b1.
     """
-    divisors = _curve_smith(d)[0]
-    b1, torsion = 2 * d.genus - len(divisors), tuple(x for x in divisors if x > 1)
+    divisors = _beta_image_smith(d)[0]
+    b1, torsion = d.genus - len(divisors), tuple(x for x in divisors if x > 1)
     b2 = euler_characteristic(d) - 2 + 2 * b1
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
 
-def _curve_smith(d: TrisectionDiagram) -> tuple:
-    """``(divisors, U)`` of the stacked curve matrix [L_beta; L_alpha; L_gamma],
-    kept on ``d``."""
-    return d._keep(
-        "curve_smith",
-        lambda: _smith(
-            _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus),
-            with_u=True,
-        ),
-    )
+def _beta_image_smith(d: TrisectionDiagram) -> tuple:
+    """``(divisors, U)`` of N = [P_ab^T; P_bg], the images of L_alpha and
+    L_gamma under beta's pairing map, kept on ``d``."""
+    def compute():
+        p_ab, p_bg = _pair_matrices(d)[:2]
+        return _smith(_matrix(p_ab.transpose().rows + p_bg.rows, d.genus), with_u=True)
+
+    return d._keep("beta_image_smith", compute)
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     """Gram matrix of the intersection pairing on a basis of H2 / Tors.
 
-    The form comes from one integer kernel (Feller-Klug-Schirmer-Zemke).  A
-    row z = (z_beta, z_alpha, z_gamma) of the left kernel K of the stacked
-    matrix C = [L_beta; L_alpha; L_gamma] gives x = z_beta L_beta, whose
-    alpha-part in x = x_alpha + x_gamma is -z_alpha L_alpha.  For every
-    trisection, FKSZ (arXiv:1711.04762) identify H2 with
+    The form comes from one integer kernel (Feller-Klug-Schirmer-Zemke).  For
+    every trisection, FKSZ (arXiv:1711.04762) identify H2 with
     (L_beta ∩ (L_alpha + L_gamma)) / (L_beta ∩ L_alpha + L_beta ∩ L_gamma)
-    and the form with <x, y_alpha>, so z -> x maps K onto H2 and the form
-    pulls back to Q_K = K_beta M K_alpha^T, where M[i][j] = -<beta_i, alpha_j>
-    is the beta-alpha intersection matrix.  By Poincare duality the form's
-    radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
+    and the form with <x, y_alpha>, the pairing of x with the alpha-part of y
+    in y = y_alpha + y_gamma.  A row z = (z_alpha, z_gamma) of the left
+    kernel K of N = [P_ab^T; P_bg] (see :func:`homology`) says that
+    x = z_gamma L_gamma - z_alpha L_alpha is killed by beta's pairing map,
+    so x lies in L_beta; z -> x maps K onto H2, and K has rank g + b1.  As
+    L_alpha is Lagrangian, <x, y_alpha> = -<z_gamma L_gamma, y_alpha>, and
+    the form pulls back to Q_K = K_gamma P_ga^T K_alpha^T, where
+    P_ga[i][j] = <alpha_i, gamma_j> is kept by :func:`k_triple`.  This needs
+    beta to be a validated cut system, which every diagram built by
+    ``parse``, ``cut_system`` or the moves is.  By Poincare duality the
+    form's radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
     unimodular of size b2, whether or not H1 has torsion.  K is taken as the
-    rows of U past the rank in the Smith form U C V = D that :func:`homology`
-    shares: they are a basis of the left kernel of C.  With Q_K checked
-    symmetric and U Q_K V = D its Smith form, the rows of U past the rank
-    span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the first rows
-    of U, has Q_K's Smith divisors: it is unimodular of size b2 iff they are
-    b2 ones.  The Gram matrix is a deterministic function of the diagram;
-    only its congruence class is an invariant.  Refuses a non-standard pair.
+    rows of U past the rank in the Smith form U N V = D that
+    :func:`homology` shares: they are a basis of the left kernel of N.  With
+    Q_K checked symmetric and U Q_K V = D its Smith form, the rows of U past
+    the rank span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the
+    first rows of U, has Q_K's Smith divisors: it is unimodular of size b2
+    iff they are b2 ones.  The Gram matrix is a deterministic function of
+    the diagram; only its congruence class is an invariant.  Refuses a
+    non-standard pair.
     """
     g, chi = d.genus, euler_characteristic(d)
-    curve_divisors, curve_u = _curve_smith(d)
-    kern = curve_u.rows[len(curve_divisors) :]
-    betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
-    m = _matrix(_pairing(alphas, betas, g), g).transpose()  # -<beta_i, alpha_j> = <alpha_j, beta_i>
-    k_beta = _matrix(tuple(z[:g] for z in kern), g)
-    k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern), g)
-    qk = k_beta @ (m @ k_alpha.transpose())  # the sparse factor on the left of each product
+    n_divisors, n_u = _beta_image_smith(d)
+    kern = n_u.rows[len(n_divisors) :]
+    k_alpha = _matrix(tuple(z[:g] for z in kern), g)
+    k_gamma = _matrix(tuple(z[g:] for z in kern), g)
+    qk = k_gamma @ (_pair_matrices(d)[2].transpose() @ k_alpha.transpose())
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     divisors, u = _smith(qk, with_u=True)
-    b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 3g - (2g - b1)
+    b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 2g - (g - b1)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
     basis = _matrix(u.rows[: len(divisors)], len(kern))

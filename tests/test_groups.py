@@ -281,8 +281,9 @@ class TestPi1:
     @settings(max_examples=30, deadline=None)
     @given(moved_diagrams(torsion=True))
     def test_abelianization_matches_h1(self, library, moved):
-        # H1 and its torsion come from the Smith form of the curve matrix
-        # that homology keeps on the diagram; pi1 abelianizes to the same group
+        # H1 and its torsion come from the Smith form of beta's pairings with
+        # alpha and gamma that homology keeps on the diagram; pi1 abelianizes
+        # to the same group
         for d in (*library.values(), moved):
             assert abelianize_presentation(pi1_presentation(d)) == homology(d)[1]
 

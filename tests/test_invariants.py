@@ -74,18 +74,24 @@ class TestPairK:
         assert exc.value.pair_name == "beta_gamma"
 
     def test_k_triple_computed_once_per_diagram(self, monkeypatch):
+        # the three pair matrices are built once and kept on the diagram;
+        # homology and the form read them and build no pairing of their own
         d = connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3"))
         calls = []
-        real = invariants_module.pair_k
-        monkeypatch.setattr(invariants_module, "pair_k", lambda h: calls.append(h) or real(h))
+        real = invariants_module._pairing
+        monkeypatch.setattr(invariants_module, "_pairing", lambda *args: calls.append(args) or real(*args))
         assert k_triple(d) == (1, 1, 1)
         assert k_triple(d) == (1, 1, 1)
         assert euler_characteristic(d) == 1
         assert len(calls) == 3
+        assert homology(d) == (Z, Z, Z, Z, Z)
+        intersection_form(d)
+        assert len(calls) == 3
 
     def test_curve_smith_form_computed_once_per_diagram(self, monkeypatch):
-        # homology and intersection_form share one Smith form of the 3g x 2g
-        # stacked curve matrix, kept on the diagram
+        # homology and intersection_form share one Smith form of the 2g x g
+        # matrix N of beta's pairings, kept on the diagram; no 3g x 2g
+        # stacked curve matrix is reduced
         d = parse((FIXTURES / "cp2_sum_cp2bar.tri").read_text())
         shapes = []
         real = invariants_module._smith
@@ -98,7 +104,8 @@ class TestPairK:
         first = homology(d)
         intersection_form(d)
         assert homology(d) == first
-        assert shapes.count((3 * d.genus, 2 * d.genus)) == 1
+        assert shapes.count((2 * d.genus, d.genus)) == 1
+        assert (3 * d.genus, 2 * d.genus) not in shapes
 
     def test_nonstandard_pair_raises_on_every_call(self):
         d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
@@ -318,9 +325,24 @@ class TestFormProperties:
 
 
 def dense_kernel_form(d):
-    """Q_K by the dense formula (K_beta L_beta) J (-K_alpha L_alpha)^T on the
-    curve kernel K, the rows of U past the rank in the Smith form of the
-    stacked curve matrix."""
+    """Q_K by the dense formula X J Y_alpha^T on the kernel K of
+    N = [-L_alpha; L_gamma] J L_beta^T, the rows of U past the rank in N's
+    Smith form: a row z = (z_alpha, z_gamma) lifts x = z_gamma L_gamma -
+    z_alpha L_alpha, whose alpha-part is -z_alpha L_alpha."""
+    g = d.genus
+    la, lb, lc = d.alpha.matrix(), d.beta.matrix(), d.gamma.matrix()
+    sides = IntMatrix([[-c for c in r] for r in la.rows] + list(lc.rows), 2 * g)
+    divisors, u = _smith(sides @ symplectic_form(g) @ lb.transpose(), with_u=True)
+    kern = IntMatrix(u.rows[len(divisors) :], 2 * g)
+    lifts = kern @ sides
+    alpha_parts = IntMatrix([[-c for c in z[:g]] for z in kern.rows], g) @ la
+    return lifts @ symplectic_form(g) @ alpha_parts.transpose()
+
+
+def stacked_kernel_form(d):
+    """Q_K by the same dense formula on the kernel of the stacked curve
+    matrix [L_beta; L_alpha; L_gamma], whose row (z_beta, z_alpha, z_gamma)
+    lifts x = z_beta L_beta with alpha-part -z_alpha L_alpha."""
     g = d.genus
     la, lb = d.alpha.matrix(), d.beta.matrix()
     divisors, u = _smith(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g), with_u=True)
@@ -343,13 +365,15 @@ class TestFormReference:
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
     def test_moved_and_summed(self, d1, d2):
-        # the beta-alpha intersection matrix pulled back to the kernel is the
-        # same integer matrix as the dense product through J; whatever the
-        # complement, Q_K is congruent to q ⊕ 0, so their invariants agree
+        # the kept alpha-gamma matrix pulled back to N's kernel is the same
+        # integer matrix as the dense product through J of the lifts in
+        # L_beta; the stacked kernel is another basis of the same lattice,
+        # so only the invariants of its Q_K agree
         for d in (d1, connected_sum(d1, d2)):
             q = intersection_form(d)
             assert q == reference_form(d)
             assert form_invariants(q) == form_invariants(dense_kernel_form(d))
+            assert form_invariants(q) == form_invariants(stacked_kernel_form(d))
 
 
 class TestFormRuntimeChecks:
@@ -359,18 +383,26 @@ class TestFormRuntimeChecks:
         return slide_family(summed, "beta", 1, 0)
 
     # each test takes k_triple before it installs its forgery, so the forged
-    # _pairing reaches the form and not the pair ranks, which share it
+    # pair matrices reach homology and the form and not the pair ranks,
+    # which share them
+
+    def forge(self, monkeypatch, d, edit):
+        k_triple(d)
+        kept = [[list(row) for row in m.rows] for m in invariants_module._pair_matrices(d)]
+        edit(kept)
+        forged = tuple(IntMatrix(rows, d.genus) for rows in kept)
+        monkeypatch.setattr(invariants_module, "_pair_matrices", lambda _: forged)
 
     def test_unimodularity(self, monkeypatch):
         # every intersection number doubled
         d = self.slid_sum()
-        k_triple(d)
-        real = invariants_module._pairing
 
-        def forged(a_rows, b_rows, g):
-            return tuple(tuple(2 * x for x in row) for row in real(a_rows, b_rows, g))
+        def double(kept):
+            for rows in kept:
+                for row in rows:
+                    row[:] = [2 * x for x in row]
 
-        monkeypatch.setattr(invariants_module, "_pairing", forged)
+        self.forge(monkeypatch, d, double)
         with pytest.raises(ArithmeticError, match="not unimodular"):
             intersection_form(d)
 
@@ -381,22 +413,14 @@ class TestFormRuntimeChecks:
             intersection_form(self.slid_sum())
 
     def test_symmetry(self, monkeypatch):
-        # <beta_1, alpha_1> raised by one, and <alpha_1, beta_1> lowered, in
-        # whichever order the form asks for them; an unslid library sum
-        # stays symmetric under this forgery
+        # <beta_1, alpha_1> raised by one in P_ab, so beta's pairing map no
+        # longer kills every lift the kernel of N gives
         d = self.slid_sum()
-        k_triple(d)
-        b0, a0 = d.beta.curves[0].homology, d.alpha.curves[0].homology
-        real = invariants_module._pairing
 
-        def forged(a_rows, b_rows, g):
-            rows = [list(row) for row in real(a_rows, b_rows, g)]
-            for i, u in enumerate(a_rows):
-                for j, v in enumerate(b_rows):
-                    rows[i][j] += ((u, v) == (b0, a0)) - ((u, v) == (a0, b0))
-            return tuple(map(tuple, rows))
+        def bump(kept):
+            kept[0][0][0] += 1
 
-        monkeypatch.setattr(invariants_module, "_pairing", forged)
+        self.forge(monkeypatch, d, bump)
         with pytest.raises(ArithmeticError, match="not symmetric"):
             intersection_form(d)
 
