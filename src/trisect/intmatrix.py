@@ -8,8 +8,13 @@ the left transform U only for the callers that use it.  Matrices built here
 skip the public constructor's coercion and shape checks through ``_matrix``.
 The matrices callers build are mostly zeros, so products, the pairing
 product ``_pairing`` and the Smith routine's column operations skip zero
-entries; its row operations add whole rows with C-level ``map``s.  The
-results, U included, are those of the dense arithmetic.
+entries; its row operations add whole rows with C-level ``map``s.  Its
+column operations also skip the finished rows above the pivot, and a +-1
+pivot ends its step after the row sweep: that sweep leaves its column e_t,
+so the column phase would only clear the pivot's row, which no later step
+reads.  Pivots, quotients and row operations are those of the dense
+elimination and U is built from row operations alone, so the results, U
+included, are the dense ones.
 """
 
 from __future__ import annotations
@@ -132,12 +137,15 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
         for x in by_rows:
             x[i] = list(map(neg, x[i]))
 
+    # a finished row i < t is e_i * d_i in the dense elimination, zero in
+    # every column that step t touches, and no later step reads it: column
+    # operations at step t (the loop's t) walk only d[t:]
     def col_swap(i, j):
-        for r in d:
+        for r in d[t:]:
             r[i], r[j] = r[j], r[i]
 
     def col_add(i, j, q):  # col_i += q * col_j
-        for r in d:
+        for r in d[t:]:
             if r[j]:
                 r[i] += q * r[j]
 
@@ -170,11 +178,11 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
             for i in range(t + 1, m):
                 if d[i][t]:
                     row_add(i, t, -(d[i][t] // p))
+            if p == 1:  # column t is now e_t, the column phase would only clear row t, and 1 divides all
+                break
             for j in range(t + 1, n):
                 if d[t][j]:
                     col_add(j, t, -(d[t][j] // p))
-            if p == 1:  # unit pivot: no remainders are left, and 1 divides everything
-                break
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
                 continue

@@ -163,9 +163,13 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
     The signature comes from integer congruence diagonalization: a pivot p
     with row v splits off, and the rest becomes the Schur complement scaled
     by |p|, |p| M - sign(p) v v^T, then divided by the gcd of its entries;
-    positive scalings keep the signature.  A zero diagonal is repaired by
-    the hyperbolic-pair trick (add one basis vector to another).  Parity is
-    even iff every diagonal entry is even, which is a congruence invariant.
+    positive scalings keep the signature.  A +-1 diagonal entry is taken
+    first, else the first nonzero one: a unit pivot scales nothing, so the
+    rows with v_i = 0 stay as they are and no gcd pass follows.  Rank and
+    signature are congruence invariants (Sylvester), so they are those of
+    any pivot order.  A zero diagonal is repaired by the hyperbolic-pair
+    trick (add one basis vector to another).  Parity is even iff every
+    diagonal entry of q is even, which is a congruence invariant.
     """
     if q.nrows != q.ncols:
         raise ValueError("form matrix must be square")
@@ -175,7 +179,9 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
     pos = neg = 0
     while m:
         n = len(m)
-        piv = next((i for i in range(n) if m[i][i]), None)
+        piv = next((i for i in range(n) if m[i][i] in (1, -1)), None)
+        if piv is None:
+            piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
             off = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
             if off is None:
@@ -194,6 +200,9 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
         sign, scale = (1 if p > 0 else -1), abs(p)
         v = m[piv][:piv] + m[piv][piv + 1 :]
         rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
+        if scale == 1:  # nothing is scaled, so rows with v_i = 0 stay and no gcd divides
+            m = [[x - sign * vi * vj for x, vj in zip(row, v)] if vi else row for row, vi in zip(rest, v)]
+            continue
         m = [[scale * x - sign * vi * vj for x, vj in zip(row, v)] for row, vi in zip(rest, v)]
         div = math.gcd(*(x for row in m for x in row))
         if div > 1:

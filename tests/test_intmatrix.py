@@ -3,7 +3,7 @@ import random
 from itertools import chain, combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import determinant
 from trisect.intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants, symplectic_pairing
@@ -457,3 +457,48 @@ def test_smith_matches_reference_smith_random():
         m = random_matrix(rng, max_dim=7, bound=6)
         assert _smith(m, with_u=True) == reference_smith(m, ("u",))
         assert _smith(m)[0] == reference_smith(m)[0]
+
+
+# entries of curve and pair matrices: mostly zeros, then units, a few others
+UNIT_HEAVY = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 1, -1, 1, -1, 2, -2, 3))
+
+
+def package_shape(draw, min_genus=1):
+    """g x 2g cut-system rows, a g x g pair matrix or the 2g x g N."""
+    g = draw(st.integers(min_genus, 6))
+    return draw(st.sampled_from(((g, 2 * g), (g, g), (2 * g, g))))
+
+
+@st.composite
+def package_shaped(draw):
+    r, c = package_shape(draw)
+    return IntMatrix([draw(st.lists(UNIT_HEAVY, min_size=c, max_size=c)) for _ in range(r)], c)
+
+
+@st.composite
+def unit_after_non_unit(draw):
+    """A block A holding a unit beside a block B with no unit entry but a 2
+    and a 3 in one row, rows and columns shuffled.  A's unit pivots come
+    first; then some step t >= 1 starts on a non-unit pivot and, as B's
+    entries are coprime, ends on a unit one, with A's rows above it."""
+    r, c = package_shape(draw, min_genus=3)
+    a, b = draw(st.integers(1, r - 1)), draw(st.integers(1, c - 2))
+    a_rows = [draw(st.lists(UNIT_HEAVY, min_size=b, max_size=b)) for _ in range(a)]
+    a_rows[0][0] = 1
+    no_units = st.sampled_from((0, 0, 2, -2, 3, -3, 5))
+    b_rows = [draw(st.lists(no_units, min_size=c - b, max_size=c - b)) for _ in range(r - a)]
+    b_rows[0][:2] = [2, 3]
+    rows = draw(st.permutations([x + [0] * (c - b) for x in a_rows] + [[0] * b + y for y in b_rows]))
+    cols = draw(st.permutations(range(c)))
+    return IntMatrix([[row[j] for j in cols] for row in rows], c)
+
+
+@settings(max_examples=300)
+@given(st.one_of(package_shaped(), unit_after_non_unit()))
+@example(IntMatrix([[1, 0, 0], [0, 2, 3], [0, 3, 5]]))
+def test_smith_matches_reference_on_package_shapes(m):
+    # a unit pivot clears only its own row in the column phase, and column
+    # operations walk only the rows from t down: the divisors and U must
+    # still be the dense routine's
+    assert _smith(m, with_u=True) == reference_smith(m, ("u",))
+    assert _smith(m)[0] == reference_smith(m)[0]

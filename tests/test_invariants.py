@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from trisect.diagrams import (
     stabilize,
     standard_diagram,
 )
+from test_cli_main import ladder_diagram
 from test_intmatrix import symplectic_form
 from trisect.intmatrix import IntMatrix, _smith, quotient_invariants, symplectic_pairing
 from trisect.invariants import (
@@ -486,6 +488,88 @@ def _random_unimodular(rng, n):
         for k in range(n):
             rows[i][k] += c * rows[j][k]
     return IntMatrix(rows, n)
+
+
+def reference_form_invariants(q):
+    """The congruence diagonalization ``form_invariants`` replaced, kept as
+    its reference: the first nonzero diagonal entry is the pivot, and the
+    Schur complement is divided by the gcd of its entries after every step."""
+    m = [list(row) for row in q.rows]
+    pos = neg = 0
+    while m:
+        n = len(m)
+        piv = next((i for i in range(n) if m[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+            if off is None:
+                break
+            i, j = off
+            for k in range(n):
+                m[i][k] += m[j][k]
+            for k in range(n):
+                m[k][i] += m[k][j]
+            piv = i
+        p = m[piv][piv]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        sign, scale = (1 if p > 0 else -1), abs(p)
+        v = m[piv][:piv] + m[piv][piv + 1 :]
+        rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
+        m = [[scale * x - sign * vi * vj for x, vj in zip(row, v)] for row, vi in zip(rest, v)]
+        div = math.gcd(*(x for row in m for x in row))
+        if div > 1:
+            m = [[x // div for x in row] for row in m]
+    parity = "even" if all(row[i] % 2 == 0 for i, row in enumerate(q.rows)) else "odd"
+    return FormInvariants(pos + neg, pos - neg, parity)
+
+
+OFF_DIAGONAL = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5))
+DIAGONALS = {
+    "zero": st.just(0),  # every pivot comes from the hyperbolic repair
+    "non_unit": st.sampled_from((2, -2, 3, -3, 4, -6)),  # never a unit pivot at the start
+    "mixed": st.sampled_from((0, 1, -1, 2, -2, 3, -4)),
+}
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric forms of every kind the diagonalization branches on: a
+    degenerate B D B^T of rank below its size, and full-size forms whose
+    diagonal is zero, non-unit or mixed."""
+    kind = draw(st.sampled_from(("degenerate",) + tuple(DIAGONALS)))
+    n = draw(st.integers(1 if kind == "degenerate" else 0, 7))
+    if kind == "degenerate":
+        k = draw(st.integers(0, n - 1))
+        b = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(n)]
+        diag = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3)), min_size=k, max_size=k))
+        rows = [[sum(x * c * y for x, c, y in zip(bi, diag, bj)) for bj in b] for bi in b]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = draw(DIAGONALS[kind])
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(OFF_DIAGONAL)
+    return kind, IntMatrix(rows, n)
+
+
+@settings(max_examples=300)
+@given(symmetric_forms())
+def test_form_invariants_match_reference(case):
+    # a unit pivot first, no gcd pass after it: rank and signature are
+    # congruence invariants and positive scalings keep them, so both
+    # routines must agree
+    kind, q = case
+    inv = form_invariants(q)
+    assert inv == reference_form_invariants(q)
+    if kind == "degenerate":
+        assert inv.rank < q.nrows
+
+
+def test_genus_32_ladder_form_invariants_pinned():
+    q = intersection_form(ladder_diagram(32, seed=32))
+    assert form_invariants(q) == reference_form_invariants(q) == FormInvariants(28, 4, "odd")
 
 
 class TestMoveInvariance:
