@@ -3,6 +3,13 @@
 Fundamental-group presentations, abelianization, bounded Tietze
 simplification, counting homomorphisms to small symmetric groups, and the
 eight-vertex cube of quotients with its verification routine.
+
+Presentations are checked where they enter: ``Presentation(...)`` and
+``presentation()`` check every token of words from outside.  Presentations
+built here from words that are valid by construction (the quotients of a
+validated diagram, Tietze results and cube pushouts) skip that check
+through ``_presentation``, as matrices built here skip ``IntMatrix``'s
+through ``intmatrix._matrix``.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from functools import cache
 from itertools import permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
-from .intmatrix import IntMatrix, quotient_invariants
+from .intmatrix import IntMatrix, _matrix, quotient_invariants
 from .invariants import DEFAULT_TIETZE_BUDGET, k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
@@ -35,7 +42,11 @@ class MalformedCubeError(Exception):
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation; relators are freely reduced words in 1..n."""
+    """A finite presentation; relators are nonempty, freely reduced words in 1..n.
+
+    The constructor checks every code and stores ``relators`` and ``names``
+    as tuples.
+    """
 
     num_generators: int
     relators: tuple[Word, ...]
@@ -43,15 +54,23 @@ class Presentation:
 
     def __post_init__(self):
         n = self.num_generators
+        if type(n) is not int:
+            raise TypeError(f"generator count {n!r} is not an int")
         if n < 0:
             raise ValueError("negative generator count")
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("need one name per generator")
+        # stored as tuples, so an equal presentation built from lists hashes
+        object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
+        if self.names is not None:
+            object.__setattr__(self, "names", tuple(self.names))
+            if len(self.names) != n:
+                raise ValueError("need one name per generator")
         for r in self.relators:
             if not r:
                 raise ValueError("empty relator (builders drop these)")
             prev = 0
             for t in r:
+                if type(t) is not int:
+                    raise TypeError(f"generator code {t!r} is not an int")
                 if t == 0 or abs(t) > n:
                     raise ValueError(f"bad generator {t} in relator (n={n})")
                 if prev == -t:
@@ -65,9 +84,24 @@ class Presentation:
 
 
 def presentation(num_generators: int, relators, names=None) -> Presentation:
-    """Build a presentation, freely reducing relators and dropping empty ones."""
+    """Build a presentation, freely reducing relators and dropping empty ones.
+
+    Like ``Presentation(...)``, this is where outside words enter, so the
+    result is checked in full.
+    """
     reduced = tuple(r for r in (free_reduce(w) for w in relators) if r)
-    return Presentation(num_generators, reduced, tuple(names) if names is not None else None)
+    return Presentation(num_generators, reduced, names)
+
+
+def _presentation(n: int, relators: tuple[Word, ...], names: tuple[str, ...] | None) -> Presentation:
+    """Trusted constructor for presentations built inside the package:
+    ``relators`` is already a tuple of nonempty, freely reduced int tuples
+    in 1..n and ``names`` a tuple of n names or None, so nothing is checked."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "num_generators", n)
+    object.__setattr__(p, "relators", relators)
+    object.__setattr__(p, "names", names)
+    return p
 
 
 def _surface_relator(genus: int) -> Word:
@@ -102,7 +136,7 @@ def _surface_quotients(d: TrisectionDiagram):
     }
 
     def quotient(*families):
-        return Presentation(2 * g, tuple(surf + [r for f in families for r in curves[f]]), names)
+        return _presentation(2 * g, tuple(surf + [r for f in families for r in curves[f]]), names)
 
     return quotient
 
@@ -116,17 +150,17 @@ def pi1_presentation(d: TrisectionDiagram) -> Presentation:
     return _surface_quotients(d)(*FAMILY_NAMES)
 
 
-def _exponent_vector(word: Word, n: int) -> list[int]:
+def _exponent_vector(word: Word, n: int) -> tuple[int, ...]:
     vec = [0] * n
     for t in word:
         vec[abs(t) - 1] += 1 if t > 0 else -1
-    return vec
+    return tuple(vec)
 
 
 def relator_matrix(p: Presentation) -> IntMatrix:
     """Exponent-sum rows of the relators."""
     n = p.num_generators
-    return IntMatrix([_exponent_vector(r, n) for r in p.relators], n)
+    return _matrix(tuple(_exponent_vector(r, n) for r in p.relators), n)
 
 
 def abelianize_presentation(p: Presentation) -> tuple[int, tuple[int, ...]]:
@@ -265,7 +299,7 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     order = sorted(rels, key=lambda w: (len(w), w))
     rels = tuple(tuple(label[t] if t > 0 else -label[-t] for t in r) for r in order)
     names = p.generator_names()
-    return Presentation(len(survivors), rels, tuple(names[g - 1] for g in survivors))
+    return _presentation(len(survivors), rels, tuple(names[g - 1] for g in survivors))
 
 
 def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
@@ -474,13 +508,13 @@ def _check_edge(
     edge: CubeEdge, src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]]
 ) -> EdgeCheck:
     nt, images = tgt.num_generators, edge.images
-    tgt_rows = [_exponent_vector(r, nt) for r in tgt.relators]
+    tgt_rows = tuple(_exponent_vector(r, nt) for r in tgt.relators)
     covered = {abs(w[0]) for w in images if len(w) == 1}
     if covered >= set(range(1, nt + 1)):
         surjectivity = "exact"
     else:
-        rows = tgt_rows + [_exponent_vector(w, nt) for w in images]
-        free, torsion = quotient_invariants(nt, IntMatrix(rows, nt))
+        rows = tgt_rows + tuple(_exponent_vector(w, nt) for w in images)
+        free, torsion = quotient_invariants(nt, _matrix(rows, nt))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
 
     def image(r):  # left unreduced: cancellation keeps exponent sums
@@ -490,8 +524,8 @@ def _check_edge(
     # is onto.  Finitely generated abelian groups are Hopfian, so if the two
     # have equal invariants the map is an isomorphism: L' = L, and the images
     # already lie in L.  Unequal invariants put some image outside L.
-    rows = tgt_rows + [_exponent_vector(image(r), nt) for r in src.relators]
-    mapped = quotient_invariants(nt, IntMatrix(rows, nt)) == tgt_abelian
+    rows = tgt_rows + tuple(_exponent_vector(image(r), nt) for r in src.relators)
+    mapped = quotient_invariants(nt, _matrix(rows, nt)) == tgt_abelian
     return EdgeCheck(edge.source, edge.target, surjectivity, mapped)
 
 
@@ -501,7 +535,10 @@ def _pushout_presentation(
     """Presentation of the pushout of q1 <- src -> q2.
 
     Generators of both targets side by side, all their relators, plus one
-    identification relator img1(x) * img2(x)^-1 per source generator.
+    identification relator img1(x) * img2(x)^-1 per source generator,
+    freely reduced, when it is not trivial.  The relators of q1 and q2 are
+    reduced and shifting keeps them so, and :func:`verify_cube` has checked
+    every image against its target, so the result is built unchecked.
     """
     n1, n2 = q1.num_generators, q2.num_generators
 
@@ -511,8 +548,9 @@ def _pushout_presentation(
     relators = list(q1.relators)
     relators += [shift(r) for r in q2.relators]
     for idx in range(src.num_generators):
-        relators.append(e1.images[idx] + invert_word(shift(e2.images[idx])))
-    return presentation(n1 + n2, relators)
+        if w := free_reduce(e1.images[idx] + invert_word(shift(e2.images[idx]))):
+            relators.append(w)
+    return _presentation(n1 + n2, tuple(relators), None)
 
 
 def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) -> CubeReport:
@@ -536,7 +574,10 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     ``Failed`` when not.  Abelianizations of vertices and Tietze forms are
     computed only for the edges and faces that need them, at most once
     each per call.  A negative budget is a usage error (``ValueError``),
-    even when the rules settle every face.
+    even when the rules settle every face.  Missing or extra vertices or
+    edges, and a map with the wrong number of images or an image letter
+    that is not a generator of its target, raise ``MalformedCubeError``
+    before any check; the pushouts are built unchecked on that basis.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -555,7 +596,7 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             )
         for w in e.images:
             for t in w:
-                if t == 0 or abs(t) > tgt.num_generators:
+                if type(t) is not int or t == 0 or abs(t) > tgt.num_generators:
                     raise MalformedCubeError(
                         f"map {e.source} -> {e.target} mentions generator {t} "
                         f"outside the target"

@@ -255,6 +255,24 @@ class TestPresentation:
         p = presentation(2, [(1, 2, -2, -1), (1,)])
         assert p.relators == ((1,),)
 
+    @pytest.mark.parametrize("relator", [(0,), (1, 0), (2,), (-2,)])
+    def test_both_builders_reject_bad_codes(self, relator):
+        for build in (Presentation, presentation):
+            with pytest.raises(ValueError):
+                build(1, (relator,))
+
+    def test_stores_tuples_and_rejects_non_int_codes(self):
+        # lists used to be stored as given, so hashing the result raised
+        p = Presentation(2, [[1, 2]], names=["u", "v"])
+        assert p == Presentation(2, ((1, 2),), ("u", "v"))
+        assert hash(p) == hash(Presentation(2, ((1, 2),), ("u", "v")))
+        for build in (Presentation, presentation):
+            for relator in ((1.0,), (True,), (1, 2.0)):
+                with pytest.raises(TypeError):
+                    build(2, (relator,))
+        with pytest.raises(TypeError):
+            Presentation(1.0, ())
+
     def test_names(self):
         p = Presentation(2, (), names=("u", "v"))
         assert p.generator_names() == ("u", "v")
@@ -852,6 +870,31 @@ class TestCube:
         with pytest.raises(MalformedCubeError):
             verify_cube(bad_arity)
 
+    @pytest.mark.parametrize("bad", [0, 2, -2, 1.0])
+    def test_image_outside_target_rejected_before_any_pushout(self, monkeypatch, bad):
+        # pushouts are built unchecked, so every image is checked first; the
+        # corrupted cube builds pushouts once its images are valid
+        calls = Counter()
+
+        def counted(*args, _fn=groups._pushout_presentation):
+            calls["pushout"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(groups, "_pushout_presentation", counted)
+        cube = corrupt_sector(build_cube(standard_diagram("CP2")), "sector_alpha_beta")
+        verify_cube(cube, 10)
+        assert calls["pushout"] > 0
+        calls.clear()
+        edges = tuple(
+            CubeEdge(e.source, e.target, ((1, bad),) + e.images[1:])
+            if (e.source, e.target) == ("handlebody_alpha", "sector_alpha_beta")
+            else e
+            for e in cube.edges
+        )
+        with pytest.raises(MalformedCubeError, match="outside the target"):
+            verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
+        assert calls["pushout"] == 0
+
 
 def in_rowspan(m, vec):
     """Is ``vec`` an integer combination of the rows of ``m``?  With
@@ -1004,6 +1047,61 @@ def corrupt_sector(cube, sector):
         else:
             edges.append(e)
     return GroupTrisectionCube(vertices, tuple(edges))
+
+
+def assert_trusted(p):
+    """``p`` was built unchecked: the public constructor accepts it and
+    builds an equal presentation, and its relator matrix has the exponent
+    sums that a checked ``IntMatrix`` holds."""
+    assert Presentation(p.num_generators, p.relators, p.names) == p
+    n = p.num_generators
+    sums = [[r.count(g) - r.count(-g) for g in range(1, n + 1)] for r in p.relators]
+    assert relator_matrix(p) == IntMatrix(sums, n)
+
+
+def assert_cube_trusted(cube):
+    """Every vertex, every face pushout, and their Tietze forms at budgets
+    0, 3 and 10000, pass :func:`assert_trusted`."""
+    v = cube.vertices
+    built = list(v.values())
+    for source, mid1, mid2, _ in CUBE_FACES:
+        built.append(
+            _pushout_presentation(
+                v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
+            )
+        )
+    for p in built:
+        assert_trusted(p)
+        for budget in (0, 3, 10000):
+            assert_trusted(tietze_simplify(p, budget))
+
+
+@settings(max_examples=25, deadline=None)
+@given(moved_diagrams(max_moves=6, torsion=True))
+def test_presentations_built_unchecked_pass_the_public_check(d):
+    assert_trusted(pi1_presentation(d))
+    cube = build_cube(d)
+    assert_cube_trusted(cube)
+    assert_cube_trusted(unreduced_images(corrupt_sector(cube, "sector_beta_gamma")))
+
+
+def unreduced_images(cube):
+    """``cube`` with every image w written w w^-1 w, except that the
+    surface's first generator goes to w w^-1, so the faces' identification
+    relators need free reduction, and those from the surface reduce to
+    nothing."""
+    edges = tuple(
+        CubeEdge(
+            e.source,
+            e.target,
+            tuple(
+                w + invert_word(w) + (() if i == 0 and e.source == "surface" else w)
+                for i, w in enumerate(e.images)
+            ),
+        )
+        for e in cube.edges
+    )
+    return GroupTrisectionCube(cube.vertices, edges)
 
 
 def test_cube_edges_constant_is_a_cube():
