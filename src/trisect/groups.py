@@ -229,28 +229,26 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     elimination, or the one shortened relator.  Generators keep their
     labels until the end, when the survivors are numbered 1..n.
 
-    The first steps are taken in bulk.  A one-letter relator sorts first
-    and its generator occurs once in it, so while one exists the loop
-    kills its generator, and it ends up killing exactly the one-letter
-    closure S: the generators of the one-letter relators, then those of
-    the one-letter relators their deletion leaves, and so on.  Killing is
-    a homomorphism of free groups, so the canonical relators after killing
-    S depend on S alone.  When |S| fits the budget, S is therefore killed
-    round by round on the cyclically reduced relators, each survivor is
-    canonicalized once, and the loop goes on with |S| fewer steps.  Otherwise the loop
-    runs from the start: one kill at a time, always of the largest
-    generator of a one-letter relator, so the kills a short budget allows
-    depend on their order.
+    The first steps kill generators.  A one-letter relator sorts first,
+    that of the largest generator ahead, and its generator occurs once in
+    it, so while one exists the loop kills the largest such generator, and
+    it ends up killing exactly the one-letter closure S: the generators of
+    the one-letter relators, then those their deletion leaves, and so on.
+    Killing is a homomorphism of free groups, so the canonical relators
+    after the kills depend on the killed set alone: kills run on the
+    cyclically reduced relators, and each survivor is canonicalized once.
+    S has at most n generators, so a budget of at least n kills each
+    round's one-letter generators at once.  A smaller budget kills one
+    largest generator per step, until S or the budget is spent.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     eliminated: set[int] = set()
-    rels = given = {cyclic_reduce(r) for r in p.relators} - {()}
-    while kill := {abs(w[0]) for w in rels if len(w) == 1}:
+    rels = {cyclic_reduce(r) for r in p.relators} - {()}
+    while len(eliminated) < budget and (kill := {abs(w[0]) for w in rels if len(w) == 1}):
+        if budget < p.num_generators:  # one kill per step, in the loop's own order
+            kill = {max(kill)}
         eliminated |= kill
-        if len(eliminated) > budget:
-            eliminated, rels = set(), given
-            break
         dead = kill | {-g for g in kill}
         rels = {
             w if dead.isdisjoint(w) else cyclic_reduce([t for t in w if t not in dead]) for w in rels
@@ -321,8 +319,6 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     cost = size**n
     if cost > cap:
         raise EnumerationRefused(cost, cap)
-    if n == 0 or degree == 1:
-        return 1  # S1 is trivial: one assignment, and every relator holds
     local = {g: i for i, g in enumerate(sorted({abs(t) for r in p.relators for t in r}))}
     m = len(local)
     free = size ** (n - m)
@@ -548,7 +544,7 @@ def _pushout_presentation(
     relators = list(q1.relators)
     relators += [shift(r) for r in q2.relators]
     for idx in range(src.num_generators):
-        if w := free_reduce(e1.images[idx] + invert_word(shift(e2.images[idx]))):
+        if w := free_reduce(tuple(e1.images[idx]) + invert_word(shift(e2.images[idx]))):
             relators.append(w)
     return _presentation(n1 + n2, tuple(relators), None)
 
@@ -603,11 +599,14 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
                     )
     v = cube.vertices
     relators = {name: set(p.relators) for name, p in v.items()}
-    identities = {
+    identities = {  # images written as lists are compared as tuples
         (e.source, e.target)
         for e in cube.edges
         if v[e.source].num_generators == v[e.target].num_generators
-        and e.images == tuple((i,) for i in range(1, v[e.source].num_generators + 1))
+        and (
+            e.images == (ident := tuple((i,) for i in range(1, v[e.source].num_generators + 1)))
+            or tuple(map(tuple, e.images)) == ident
+        )
     }
     abelian = cache(lambda name: abelianize_presentation(v[name]))
     edge_checks = tuple(

@@ -3,17 +3,18 @@
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
 exactness and deterministic output over asymptotics.  One Smith routine,
-``_smith``, serves every caller: it returns the Smith divisors, and builds
-the left transform U only for the callers that use it.  Matrices built here
-skip the public constructor's coercion and shape checks through ``_matrix``.
-The matrices callers build are mostly zeros, so products, the pairing
-product ``_pairing`` and the Smith routine's column operations skip zero
-entries; its row operations add whole rows with C-level ``map``s.  Its
-column operations also skip the finished rows above the pivot, and a +-1
-pivot ends its step after the row sweep: that sweep leaves its column e_t,
-so the column phase would only clear the pivot's row, which no later step
-reads.  Pivots, quotients and row operations are those of the dense
-elimination and U is built from row operations alone, so the results, U
+``_smith``, serves every caller: it returns the Smith divisors, and for
+the callers that use the left transform U it carries U as an identity
+block appended to the working rows.  Matrices built here skip the public
+constructor's coercion and shape checks through ``_matrix``.  Callers'
+matrices are mostly zeros, so products, the pairing product ``_pairing``
+and the Smith routine's column operations skip zero entries; its row
+operations add whole rows with C-level ``map``s.  Its column operations
+skip the finished rows above the pivot, and a +-1 pivot ends its step
+after the row sweep: that sweep leaves its column e_t, so the column phase
+would only clear the pivot's row, which no later step reads.  Pivots,
+quotients and row operations are those of the dense elimination, and
+nothing but row operations reaches the identity block, so the results, U
 included, are the dense ones.
 """
 
@@ -102,40 +103,27 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
     """Smith normal form of ``mat``: ``(divisors, U)``.
 
     ``divisors`` is the nonzero diagonal d1 | d2 | ... of D = U*mat*V (its
-    length is the rank).  U is unimodular, and it is built and returned only
-    ``with_u``; otherwise it is ``None`` and never updated.  Pivots are
-    chosen by smallest nonzero absolute value, ties broken by lowest row then
-    column, so the output is deterministic.
+    length is the rank).  U is unimodular and returned only ``with_u``,
+    else ``None``: row i then starts as row i of ``mat`` and of the m x m
+    identity, the row operations turn [mat | I] into [U*mat | U], and every
+    scan and column operation stops at column n.  Pivots are chosen by
+    smallest nonzero absolute value, ties broken by lowest row then column,
+    so the output is deterministic.
     """
     m, n = mat.nrows, mat.ncols
     d = [list(r) for r in mat.rows]
-    u = None
     if with_u:
-        u = [[0] * m for _ in range(m)]
-        for i in range(m):
-            u[i][i] = 1
-    by_rows = [x for x in (d, u) if x is not None]
+        for i, row in enumerate(d):
+            row += [0] * m
+            row[n + i] = 1
 
-    def axpy(rows, i, j, q):  # rows[i] += q * rows[j], one C-level map over the row
+    def row_add(i, j, q):  # row_i += q * row_j, one C-level map over the row
         if q == 1:
-            rows[i] = list(map(add, rows[i], rows[j]))
+            d[i] = list(map(add, d[i], d[j]))
         elif q == -1:
-            rows[i] = list(map(sub, rows[i], rows[j]))
+            d[i] = list(map(sub, d[i], d[j]))
         else:
-            rows[i] = list(map(add, rows[i], map(q.__mul__, rows[j])))
-
-    def row_swap(i, j):
-        for x in by_rows:
-            x[i], x[j] = x[j], x[i]
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        axpy(d, i, j, q)
-        if u is not None:
-            axpy(u, i, j, q)
-
-    def row_negate(i):
-        for x in by_rows:
-            x[i] = list(map(neg, x[i]))
+            d[i] = list(map(add, d[i], map(q.__mul__, d[j])))
 
     # a finished row i < t is e_i * d_i in the dense elimination, zero in
     # every column that step t touches, and no later step reads it: column
@@ -169,11 +157,11 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
         while True:
             i, j = pivot
             if i != t:
-                row_swap(i, t)
+                d[i], d[t] = d[t], d[i]
             if j != t:
                 col_swap(j, t)
             if d[t][t] < 0:
-                row_negate(t)
+                d[t] = list(map(neg, d[t]))
             p = d[t][t]
             for i in range(t + 1, m):
                 if d[i][t]:
@@ -186,13 +174,13 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
             if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
                 pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
                 continue
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 : n])), None)
             if bad is None:
                 break
             row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
             pivot = find_pivot(t)
         t += 1
-    return tuple(d[i][i] for i in range(t)), (None if u is None else _matrix(tuple(map(tuple, u)), m))
+    return tuple(d[i][i] for i in range(t)), (_matrix(tuple(tuple(r[n:]) for r in d), m) if with_u else None)
 
 
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:

@@ -134,7 +134,7 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     the diagram; only its congruence class is an invariant.  Refuses a
     non-standard pair.
     """
-    g, chi = d.genus, euler_characteristic(d)
+    g, b2 = d.genus, homology(d)[2][0]
     n_divisors, n_u = _beta_image_smith(d)
     kern = n_u.rows[len(n_divisors) :]
     k_alpha = _matrix(tuple(z[:g] for z in kern), g)
@@ -143,7 +143,6 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     divisors, u = _smith(qk, with_u=True)
-    b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 2g - (g - b1)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
     basis = _matrix(u.rows[: len(divisors)], len(kern))
@@ -176,7 +175,7 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
     if q != q.transpose():
         raise ValueError("form matrix must be symmetric")
     m = [list(row) for row in q.rows]
-    pos = neg = 0
+    rank = signature = 0
     while m:
         n = len(m)
         piv = next((i for i in range(n) if m[i][i] in (1, -1)), None)
@@ -193,22 +192,20 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
                 m[k][i] += m[k][j]
             piv = i
         p = m[piv][piv]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
         sign, scale = (1 if p > 0 else -1), abs(p)
+        rank += 1
+        signature += sign
         v = m[piv][:piv] + m[piv][piv + 1 :]
         rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
-        if scale == 1:  # nothing is scaled, so rows with v_i = 0 stay and no gcd divides
-            m = [[x - sign * vi * vj for x, vj in zip(row, v)] if vi else row for row, vi in zip(rest, v)]
-            continue
-        m = [[scale * x - sign * vi * vj for x, vj in zip(row, v)] for row, vi in zip(rest, v)]
-        div = math.gcd(*(x for row in m for x in row))
-        if div > 1:
+        # a unit pivot scales nothing, so rows with v_i = 0 stay and no gcd divides
+        m = [
+            [scale * x - sign * vi * vj for x, vj in zip(row, v)] if vi or scale > 1 else row
+            for row, vi in zip(rest, v)
+        ]
+        if scale > 1 and (div := math.gcd(*(x for row in m for x in row))) > 1:
             m = [[x // div for x in row] for row in m]
     parity = "even" if all(row[i] % 2 == 0 for i, row in enumerate(q.rows)) else "odd"
-    return FormInvariants(pos + neg, pos - neg, parity)
+    return FormInvariants(rank, signature, parity)
 
 
 @dataclass(frozen=True)

@@ -438,7 +438,7 @@ class TestTietze:
     @settings(max_examples=200, deadline=None)
     @given(one_letter_presentations())
     def test_one_letter_closure_matches_reference_loop_at_every_budget(self, p):
-        # budgets below the closure's size take the one-kill-at-a-time path
+        # budgets below the generator count take the one-kill-per-step path
         for budget in range(p.num_generators + 2):
             q = tietze_simplify(p, budget)
             assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget), budget
@@ -456,7 +456,9 @@ class TestTietze:
         # S4 stabilized nine times: the one-letter closure leaves no relator
         # of pi1 or of any cube vertex but the bare surface group's, and only
         # the relators that survive it are canonicalized, each once (one
-        # canonical rotation in all, against 216 when every kill is a step)
+        # canonical rotation in all, against 216 when every kill is a step).
+        # Budgets below the generator count kill one generator per step, and
+        # again only the relators left when the budget is spent are canonicalized
         d = standard_diagram("S4")
         for fam in FAMILY_NAMES * 3:
             d = stabilize(d, fam)
@@ -475,6 +477,11 @@ class TestTietze:
             calls.clear()
             tietze_simplify(p, 1000)
             assert calls["rotation"] <= len(rels)
+            n = p.num_generators
+            for budget in (n - 1, n // 2, 1):
+                calls.clear()
+                q = tietze_simplify(p, budget)
+                assert calls["rotation"] <= len(q.relators), budget
 
     def test_matches_reference_loop_on_cube_vertices(self, library):
         d = connected_sum(library["S2xS2"], library["CP2+CP2BAR"])
@@ -894,6 +901,18 @@ class TestCube:
         with pytest.raises(MalformedCubeError, match="outside the target"):
             verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
         assert calls["pushout"] == 0
+
+    @pytest.mark.parametrize("sector", ["sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha"])
+    def test_list_images_give_the_tuple_report(self, sector):
+        # a library caller may write a map's images as lists; the pushouts
+        # of the faces the corrupted sector touches concatenate them
+        cube = corrupt_sector(build_cube(standard_diagram("CP2")), sector)
+        listed = GroupTrisectionCube(
+            cube.vertices,
+            tuple(CubeEdge(e.source, e.target, [list(w) for w in e.images]) for e in cube.edges),
+        )
+        for budget in (0, 10, 1000):
+            assert verify_cube(listed, budget) == verify_cube(cube, budget)
 
 
 def in_rowspan(m, vec):
