@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from itertools import permutations
+from functools import lru_cache
+from itertools import filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, quotient_invariants
@@ -112,12 +112,24 @@ def _surface_relator(genus: int) -> Word:
     return tuple(rel)
 
 
+# bounded, so a long-lived process does not keep a table for every genus it saw
+@lru_cache(maxsize=64)
+def _block_letters(genus: int) -> dict[int, int]:
+    """Each token code of genus ``genus``, signed, to its signed block index.
+
+    The one dict is shared by every caller, which only reads it.
+    """
+    return {s * c: s * block_index(c, genus) for c in range(1, 2 * genus + 1) for s in (1, -1)}
+
+
 def _curve_relator(word: Word, genus: int) -> Word:
-    out = []
-    for c in word:
-        t = block_index(c, genus)
-        out.append(t if c > 0 else -t)
-    return cyclic_reduce(out)
+    """A curve word relabelled into the (a_1..a_g, b_1..b_g) numbering.
+
+    A curve's word is cyclically reduced, and relabelling letters by a
+    bijection that commutes with inversion keeps it so: no reduction is
+    needed.
+    """
+    return tuple(map(_block_letters(genus).__getitem__, word))
 
 
 def _surface_quotients(d: TrisectionDiagram):
@@ -237,21 +249,26 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     Killing is a homomorphism of free groups, so the canonical relators
     after the kills depend on the killed set alone: kills run on the
     cyclically reduced relators, and each survivor is canonicalized once.
-    S has at most n generators, so a budget of at least n kills each
-    round's one-letter generators at once.  A smaller budget kills one
-    largest generator per step, until S or the budget is spent.
+    The input relators are nonempty and freely reduced, so only those whose
+    first and last letters cancel are reduced first.  S has at most n
+    generators, so a budget of at least n kills each round's one-letter
+    generators at once.  A smaller budget kills one largest generator per
+    step, until S or the budget is spent.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     eliminated: set[int] = set()
-    rels = {cyclic_reduce(r) for r in p.relators} - {()}
+    # relators are nonempty and freely reduced: only one whose ends cancel
+    # needs a cyclic reduction, which leaves it nonempty
+    rels = {cyclic_reduce(r) if r[0] == -r[-1] else r for r in p.relators}
     while len(eliminated) < budget and (kill := {abs(w[0]) for w in rels if len(w) == 1}):
         if budget < p.num_generators:  # one kill per step, in the loop's own order
             kill = {max(kill)}
         eliminated |= kill
         dead = kill | {-g for g in kill}
         rels = {
-            w if dead.isdisjoint(w) else cyclic_reduce([t for t in w if t not in dead]) for w in rels
+            w if dead.isdisjoint(w) else cyclic_reduce(filterfalse(dead.__contains__, w))
+            for w in rels
         }
         rels.discard(())
     rels = {_canonical_rotation(w) for w in rels}
@@ -447,6 +464,12 @@ class GroupTrisectionCube:
         raise KeyError((source, target))
 
 
+@lru_cache(maxsize=64)
+def _identity_images(n: int) -> tuple[Word, ...]:
+    """The images ``((1,), ..., (n,))`` of an identity map on n generators."""
+    return tuple(zip(range(1, n + 1)))
+
+
 def build_cube(d: TrisectionDiagram) -> GroupTrisectionCube:
     """The eight quotients of the surface group and the twelve quotient maps.
 
@@ -466,7 +489,7 @@ def build_cube(d: TrisectionDiagram) -> GroupTrisectionCube:
         "sector_gamma_alpha": quotient("gamma", "alpha"),
         "total": quotient("alpha", "beta", "gamma"),
     }
-    identity = tuple((i,) for i in range(1, 2 * d.genus + 1))
+    identity = _identity_images(2 * d.genus)
     edges = tuple(CubeEdge(s, t, identity) for s, t in CUBE_EDGES)
     return GroupTrisectionCube(vertices, edges)
 
@@ -503,25 +526,38 @@ class CubeReport:
 def _check_edge(
     edge: CubeEdge, src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]]
 ) -> EdgeCheck:
+    """Surjectivity and relator check of one map against its target's lattice.
+
+    With L the target's relator lattice, each test adds rows to L and
+    compares Z^n/L' with the target's abelianization ``tgt_abelian``.  A
+    zero row, or a copy of a target relator row, leaves L' = L, so when
+    every added row is of that kind the answer is ``tgt_abelian`` and no
+    Smith form is taken.
+    """
     nt, images = tgt.num_generators, edge.images
     tgt_rows = tuple(_exponent_vector(r, nt) for r in tgt.relators)
+    in_lattice = {(0,) * nt, *tgt_rows}
+
+    def quotient(extra):
+        if in_lattice.issuperset(extra):
+            return tgt_abelian
+        return quotient_invariants(nt, _matrix(tgt_rows + extra, nt))
+
     covered = {abs(w[0]) for w in images if len(w) == 1}
     if covered >= set(range(1, nt + 1)):
         surjectivity = "exact"
     else:
-        rows = tgt_rows + tuple(_exponent_vector(w, nt) for w in images)
-        free, torsion = quotient_invariants(nt, _matrix(rows, nt))
+        free, torsion = quotient(tuple(_exponent_vector(w, nt) for w in images))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
 
     def image(r):  # left unreduced: cancellation keeps exponent sums
         return [x for t in r for x in (images[t - 1] if t > 0 else invert_word(images[-t - 1]))]
 
-    # With L the target's relator lattice and L' = L + images, Z^n/L -> Z^n/L'
-    # is onto.  Finitely generated abelian groups are Hopfian, so if the two
-    # have equal invariants the map is an isomorphism: L' = L, and the images
-    # already lie in L.  Unequal invariants put some image outside L.
-    rows = tgt_rows + tuple(_exponent_vector(image(r), nt) for r in src.relators)
-    mapped = quotient_invariants(nt, _matrix(rows, nt)) == tgt_abelian
+    # Z^n/L -> Z^n/L' is onto.  Finitely generated abelian groups are
+    # Hopfian, so if the two have equal invariants the map is an isomorphism:
+    # L' = L, and the images already lie in L.  Unequal invariants put some
+    # image outside L.
+    mapped = quotient(tuple(_exponent_vector(image(r), nt) for r in src.relators)) == tgt_abelian
     return EdgeCheck(edge.source, edge.target, surjectivity, mapped)
 
 
@@ -561,19 +597,23 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     when that union is the set of its sink's relators.
 
     Every other edge gets the generic check against its target's relator
-    lattice.  Every other face's pushout presentation and claimed vertex are
-    reduced by Tietze moves within the budget (each distinct claimed vertex
-    once), and the reduced forms are compared first: ``Verified`` when they
-    are identical.  Only on a mismatch is the reduced pushout abelianized:
-    ``HomologicallyVerified`` when it agrees with the claimed vertex's
-    abelianization (of its raw presentation; Tietze moves keep the group),
-    ``Failed`` when not.  Abelianizations of vertices and Tietze forms are
-    computed only for the edges and faces that need them, at most once
-    each per call.  A negative budget is a usage error (``ValueError``),
-    even when the rules settle every face.  Missing or extra vertices or
-    edges, and a map with the wrong number of images or an image letter
-    that is not a generator of its target, raise ``MalformedCubeError``
-    before any check; the pushouts are built unchecked on that basis.
+    lattice, which takes no Smith form when the rows it adds are all zero or
+    copies of target relator rows.  Every other face's pushout presentation
+    and claimed vertex are reduced by Tietze moves within the budget (each
+    distinct claimed vertex once), and the reduced forms are compared first:
+    ``Verified`` when they are identical.  Only on a mismatch is the reduced
+    pushout abelianized: ``HomologicallyVerified`` when it agrees with the
+    claimed vertex's abelianization (of its raw presentation; Tietze moves
+    keep the group), ``Failed`` when not.  Abelianizations of vertices and
+    Tietze forms are computed only for the edges and faces that need them,
+    at most once each per call.  A negative budget is a usage error
+    (``ValueError``), even when the rules settle every face.  Missing or
+    extra vertices or edges, and a map with the wrong number of images or an
+    image letter that is not a generator of its target, raise
+    ``MalformedCubeError`` before any check; the pushouts are built
+    unchecked on that basis.  The letters are checked one by one before the
+    identity rule, because images such as ``((1.0,), (2.0,))`` or
+    ``((True,), (2,))`` compare equal to an identity's.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -604,18 +644,25 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         for e in cube.edges
         if v[e.source].num_generators == v[e.target].num_generators
         and (
-            e.images == (ident := tuple((i,) for i in range(1, v[e.source].num_generators + 1)))
+            e.images == (ident := _identity_images(v[e.source].num_generators))
             or tuple(map(tuple, e.images)) == ident
         )
     }
-    abelian = cache(lambda name: abelianize_presentation(v[name]))
+    # memos: each vertex abelianized and Tietze-reduced at most once, and
+    # only when needed (a result is a nonempty tuple or a Presentation, so
+    # never falsy)
+    abelian: dict[str, tuple[int, tuple[int, ...]]] = {}
+    reduced: dict[str, Presentation] = {}
+
+    def abelian_of(name):
+        return abelian.get(name) or abelian.setdefault(name, abelianize_presentation(v[name]))
+
     edge_checks = tuple(
         EdgeCheck(e.source, e.target, "exact", True)
         if (e.source, e.target) in identities and relators[e.source] <= relators[e.target]
-        else _check_edge(e, v[e.source], v[e.target], abelian(e.target))
+        else _check_edge(e, v[e.source], v[e.target], abelian_of(e.target))
         for e in cube.edges
     )
-    reduced = cache(lambda name: tietze_simplify(v[name], budget))
     face_checks = []
     for source, mid1, mid2, sink in CUBE_FACES:
         square = ((source, mid1), (source, mid2), (mid1, sink), (mid2, sink))
@@ -625,10 +672,11 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             pushout = _pushout_presentation(
                 v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
             )
-            left, right = tietze_simplify(pushout, budget), reduced(sink)
+            left = tietze_simplify(pushout, budget)
+            right = reduced.get(sink) or reduced.setdefault(sink, tietze_simplify(v[sink], budget))
             if (left.num_generators, left.relators) == (right.num_generators, right.relators):
                 status = "Verified"
-            elif abelianize_presentation(left) == abelian(sink):
+            elif abelianize_presentation(left) == abelian_of(sink):
                 status = "HomologicallyVerified"
             else:
                 status = "Failed"

@@ -136,6 +136,7 @@ FIXTURE_COMMANDS = {
     "invariants": ["invariants"],
     "form": ["form"],
     "pi1": ["pi1", "--simplify", "10000"],
+    "pi1_raw": ["pi1"],
     "cube": ["cube", "--verify", "100"],
     "cube_summary": ["cube"],
     "cube_dot": ["cube", "--dot"],
@@ -146,6 +147,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "196663382060c0b3b6b745e61a0ae05a712b6f9a0a5de45d3b7e949ed9179814"),
         "form": (0, "7952eb06383fd8c608943b17fef3f218b27512d08e895d41f092c7d2ab6ba026"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "c3035b05702934cbeca163c1e41a873e01dc6827e8873f18ed7966236bc79c11"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "99e04927d2bdd3c089ee2993e212526760bd70b6b09645399662659b4dbc4a41"),
         "cube_dot": (0, "911a3e731dba8abe2034483ed66f20d04ccb31419216fbd0386d152b988c8ca6"),
@@ -154,6 +156,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "df43e78136fb947e4d8fc05bf4bad0315157e702194eaf5b538d42e254318c17"),
         "form": (0, "9e47f35f7d5b57ba5e49dd4e89fada848b0534e68c3541c383cbc53f77995f7a"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "6721cc422a21781f40faba24d9e82a81c5434450b7376dd94a677acd6a938c65"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "d6e69e30f456aa1961d30677b242b6958865f1a8a07aca70c2b884c65b205924"),
         "cube_dot": (0, "75e1ffd976f538bb800954b904747776edf082729d30a55c719f41038743787c"),
@@ -162,6 +165,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "57964e56a81e2bd99e6ecbc1c763179dbc8c6c368069136a8184b78cb903ff15"),
         "form": (0, "75d103f424f21a7d84df591647ebadbac9f35cdd4b3a4c4d8c60d133c4c5197d"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "f97770879a51c2709ced8783421ee8007c61a93569c39360c80540ddb58cf43e"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "99e04927d2bdd3c089ee2993e212526760bd70b6b09645399662659b4dbc4a41"),
         "cube_dot": (0, "911a3e731dba8abe2034483ed66f20d04ccb31419216fbd0386d152b988c8ca6"),
@@ -170,6 +174,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "9628e257fa7d78bfda414fa790388f9dad44399b317722cfd163bc8f7b7059c2"),
         "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
         "pi1": (0, "e60b0535fd14ac2f4f78129ba61fe33be72de877afcd7a710fb5eb3a4dd4b26f"),
+        "pi1_raw": (0, "a3f219853e7cd91de50984abfaa795d1eb92a8f571722d85c3175e3cec4d79a9"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "67df4e3b34e5c453e1cc76adefcf0fe3ec3061cf0062db9b71d52c7e3d5075cd"),
         "cube_dot": (0, "8378090fd9e8cf24ef1239ed98e05d2c315408a088f8eb2040b3cefdc2a68c80"),
@@ -178,6 +183,7 @@ FIXTURE_REPORTS = {
         "invariants": (2, EMPTY),
         "form": (2, EMPTY),
         "pi1": (2, EMPTY),
+        "pi1_raw": (2, EMPTY),
         "cube": (2, EMPTY),
         "cube_summary": (2, EMPTY),
         "cube_dot": (2, EMPTY),
@@ -186,6 +192,7 @@ FIXTURE_REPORTS = {
         "invariants": (1, EMPTY),
         "form": (1, EMPTY),
         "pi1": (1, EMPTY),
+        "pi1_raw": (1, EMPTY),
         "cube": (1, EMPTY),
         "cube_summary": (1, EMPTY),
         "cube_dot": (1, EMPTY),
@@ -194,6 +201,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "196663382060c0b3b6b745e61a0ae05a712b6f9a0a5de45d3b7e949ed9179814"),
         "form": (0, "7952eb06383fd8c608943b17fef3f218b27512d08e895d41f092c7d2ab6ba026"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "c3035b05702934cbeca163c1e41a873e01dc6827e8873f18ed7966236bc79c11"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "99e04927d2bdd3c089ee2993e212526760bd70b6b09645399662659b4dbc4a41"),
         "cube_dot": (0, "911a3e731dba8abe2034483ed66f20d04ccb31419216fbd0386d152b988c8ca6"),
@@ -202,6 +210,7 @@ FIXTURE_REPORTS = {
         "invariants": (1, "248a33e1071669d4d622b76e4bd783efb31d8de2698273939d19ecf8b59c069d"),
         "form": (1, EMPTY),
         "pi1": (0, "e60b0535fd14ac2f4f78129ba61fe33be72de877afcd7a710fb5eb3a4dd4b26f"),
+        "pi1_raw": (0, "e4a2d909c37dafbd3725120822ac4500e35f4022ca8aef54ca0aef964b7cbee4"),
         "cube": (1, EMPTY),
         "cube_summary": (1, EMPTY),
         "cube_dot": (1, EMPTY),
@@ -210,6 +219,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "7b690b8cda9832965505ea8ddf64ef5250d109f7997e07c4f72906c7321f842d"),
         "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
         "pi1": (0, "f6fdc79643f017210532ed1502e34b2fd24c1e0412621f7edff3f42628050e71"),
+        "pi1_raw": (0, "557be764478c62f46f605196ee4b9c2d5efed5f170fb6545a27a1ce108c5c71b"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "2585d2f5b0fc76d154b1bad14741af938a363c08bd15fddda82fa05b1ba92ef2"),
         "cube_dot": (0, "2e2707edc83221247fd5fea598d99caa8ef88af2bf26f63f735d2c5c7acb46bb"),
@@ -218,6 +228,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "d1daf3f37fe753d5535dc13ea0e2c650782156250ac88ed4c145dac52e91047a"),
         "form": (0, "3f9a0f9a9dbc2e13ef017b3ef3d5dbdc3e9b70d0d498b6d992723d54ced7f44a"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "0d7784dc3c37620477c8affa854c8b7d794417950d0ed53d0ff3e6402c8d8232"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "d6e69e30f456aa1961d30677b242b6958865f1a8a07aca70c2b884c65b205924"),
         "cube_dot": (0, "75e1ffd976f538bb800954b904747776edf082729d30a55c719f41038743787c"),
@@ -226,6 +237,7 @@ FIXTURE_REPORTS = {
         "invariants": (0, "5bfa96194e376298ae5ed92c1a93db4fb1651f434840206770689aafb8f7a799"),
         "form": (0, "5be89464a53f9c27c4d284196b7c4be6a009fed7661d725fd69d569d8326e8c2"),
         "pi1": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        "pi1_raw": (0, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
         "cube": (0, "401f06d1d3b1cd21095ce825d8ad02bf9f0e58f982f1094614e1e7c4b177a896"),
         "cube_summary": (0, "b83713c681a6da70b2e621e099a77311c8ccb62fc8e06dea38952dac088da85a"),
         "cube_dot": (0, "8009f1ea908db02cce3b617d8d76d13816659140b2dfaa3f55601176028b15fd"),

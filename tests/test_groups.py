@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from trisect.groups import (
     MalformedCubeError,
     Presentation,
     _check_edge,
+    _curve_relator,
     _pushout_presentation,
     abelianize_presentation,
     build_cube,
@@ -44,7 +46,7 @@ from trisect.invariants import (
     poincare_candidate_check,
 )
 from trisect.textio import parse, serialize
-from trisect.words import cyclic_reduce, invert_word
+from trisect.words import block_index, cyclic_reduce, invert_word
 
 
 def rel(*texts):
@@ -279,7 +281,36 @@ class TestPresentation:
         assert Presentation(2, ()).generator_names() == ("x1", "x2")
 
 
+def reference_curve_relator(word, genus):
+    """The relabelling loop that ``_curve_relator`` replaced: the signed
+    block index of each letter, then a cyclic reduction."""
+    out = []
+    for c in word:
+        t = block_index(c, genus)
+        out.append(t if c > 0 else -t)
+    return cyclic_reduce(out)
+
+
+# the fixtures that parse to a diagram, r12 included
+PARSED_FIXTURES = (
+    "cp2", "cp2_sum_cp2bar", "cp2bar", "h1_torsion", "noisy", "nonstandard_pair", "r12", "s1xs3",
+    "s2xs2", "s4",
+)
+
+
 class TestPi1:
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(torsion=True))
+    def test_curve_words_are_reduced_and_relabelled_as_before(self, library, moved):
+        # a curve word is cyclically reduced wherever its diagram came from
+        # (parse, the library, the moves), so the relabelled relator needs no
+        # reduction and equals what the old loop made
+        parsed = [parse((FIXTURES / f"{stem}.tri").read_text()) for stem in PARSED_FIXTURES]
+        for d in (*parsed, *library.values(), moved):
+            for c in (c for f in d.families() for c in f.curves):
+                assert cyclic_reduce(c.word) == c.word
+                assert _curve_relator(c.word, d.genus) == reference_curve_relator(c.word, d.genus)
+
     def test_s4_trivial_presentation(self):
         p = pi1_presentation(standard_diagram("S4"))
         assert p.num_generators == 0 and p.relators == ()
@@ -789,18 +820,19 @@ class TestCube:
         # only the three faces that touch the corrupted sector take the Tietze
         # path: three pushouts and the two distinct sinks (the sector and
         # total); the three edges at the sector abelianize their two targets
-        # once each and extend a target's relators once per edge
+        # once each.  The two edges into the sector extend its lattice once
+        # each; the sector -> total edge sends x to the empty word, so both
+        # of its tests add only zero rows and reuse total's abelianization
         cube = build_cube(connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2")))
         report, calls = self.count_work(monkeypatch, corrupt_sector(cube, "sector_alpha_beta"), 1000)
         touching = [f for f in report.faces if "sector_alpha_beta" in f.vertices]
         assert len(touching) == 3
         assert all(f.status == "Verified" for f in report.faces if f not in touching)
         assert calls["tietze_simplify"] == 3 + 2
-        # Smith forms: those 2 + 3, the abelian surjectivity test of the
-        # sector -> total edge, and the pushout side of the one Failed face,
-        # whose sink's abelianization is one of the first 2
+        # Smith forms: those 2 + 2, and the pushout side of the one Failed
+        # face, whose sink's abelianization is one of the first 2
         assert [f.status for f in touching].count("Failed") == 1
-        assert calls["quotient_invariants"] == 2 + 3 + 1 + 1
+        assert calls["quotient_invariants"] == 2 + 2 + 1
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
@@ -877,7 +909,7 @@ class TestCube:
         with pytest.raises(MalformedCubeError):
             verify_cube(bad_arity)
 
-    @pytest.mark.parametrize("bad", [0, 2, -2, 1.0])
+    @pytest.mark.parametrize("bad", [0, 2, -2, 1.0, True])
     def test_image_outside_target_rejected_before_any_pushout(self, monkeypatch, bad):
         # pushouts are built unchecked, so every image is checked first; the
         # corrupted cube builds pushouts once its images are valid
@@ -901,6 +933,39 @@ class TestCube:
         with pytest.raises(MalformedCubeError, match="outside the target"):
             verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
         assert calls["pushout"] == 0
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda images: tuple(tuple(map(float, w)) for w in images),
+            lambda images: ((True,), *images[1:]),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_identity_written_in_other_numbers_rejected_before_any_rule(self, monkeypatch, rewrite):
+        # ((1.0,), (2.0,)) and ((True,), (2,)) compare equal to an identity's
+        # images, so the letter check must come before the identity rule,
+        # the edge checks and the pushouts
+        calls = Counter()
+        for name in ("_check_edge", "_pushout_presentation", "tietze_simplify"):
+
+            def counted(*args, _fn=getattr(groups, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(groups, name, counted)
+        cube = build_cube(standard_diagram("CP2"))
+        edges = tuple(
+            CubeEdge(e.source, e.target, rewrite(e.images))
+            if (e.source, e.target) == ("surface", "handlebody_beta")
+            else e
+            for e in cube.edges
+        )
+        written = next(e.images for e in edges if e.target == "handlebody_beta")
+        assert written == next(e.images for e in cube.edges if e.target == "handlebody_beta")
+        with pytest.raises(MalformedCubeError, match="outside the target"):
+            verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
+        assert calls == Counter()
 
     @pytest.mark.parametrize("sector", ["sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha"])
     def test_list_images_give_the_tuple_report(self, sector):
@@ -968,6 +1033,64 @@ def test_check_edge_matches_membership_oracle(edge):
     # those of its quotient by the images, against membership row by row
     e, src, tgt = edge
     assert _check_edge(e, src, tgt, abelianize_presentation(tgt)) == reference_edge(e, src, tgt)
+
+
+@st.composite
+def lattice_edges(draw):
+    """A map into a random presentation whose image rows are all zero, all
+    copies of target relator rows, or such rows and one new row.  The
+    source has one relator per generator, x_i itself, so the same rows
+    enter the surjectivity test and the relators-mapped test."""
+    n = draw(st.integers(1, 3))
+    letters = st.integers(min_value=1, max_value=n).flatmap(lambda x: st.sampled_from((x, -x)))
+    words = st.lists(letters, min_size=1, max_size=4).map(tuple)
+    tgt = presentation(n, draw(st.lists(words, min_size=1, max_size=3)))
+
+    def vector(w):
+        return tuple(w.count(i) - w.count(-i) for i in range(1, n + 1))
+
+    def zero_word():  # written unreduced, as images may be
+        w, u = draw(words), draw(words)
+        commutator = w + u + invert_word(w) + invert_word(u)
+        return draw(st.sampled_from(((), w + invert_word(w), commutator)))
+
+    def old_word():  # a conjugate of a rotation of a target relator
+        r, c = draw(st.sampled_from(tgt.relators)), draw(words)
+        k = draw(st.integers(0, len(r) - 1))
+        return c + r[k:] + r[:k] + invert_word(c)
+
+    kind = draw(st.sampled_from(("zero", "old", "new") if tgt.relators else ("zero", "new")))
+    m = draw(st.integers(1, 3))
+    makers = (zero_word, old_word) if kind != "zero" and tgt.relators else (zero_word,)
+    pick = lambda: draw(st.sampled_from(makers))()
+    images = [pick() for _ in range(m)]
+    if kind == "old":
+        images[draw(st.integers(0, m - 1))] = old_word()
+    elif kind == "new":
+        rows = {(0,) * n, *map(vector, tgt.relators)}
+        new = draw(words.filter(lambda w: vector(w) not in rows))
+        images.insert(draw(st.integers(0, m)), new)
+    src = presentation(len(images), [(i,) for i in range(1, len(images) + 1)])
+    return CubeEdge("source", "target", tuple(images)), src, tgt, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_edges())
+def test_check_edge_reuses_the_target_lattice_only_when_no_row_is_new(edge):
+    # zero rows and copies of target rows leave the target's lattice as it
+    # is, so the target's abelianization answers both tests with no Smith
+    # form; one new row, in the lattice or not, takes the Smith form
+    e, src, tgt, kind = edge
+    abelian = abelianize_presentation(tgt)
+    smith = mock.Mock(wraps=groups.quotient_invariants)
+    with mock.patch.object(groups, "quotient_invariants", smith):
+        check = _check_edge(e, src, tgt, abelian)
+    assert check == reference_edge(e, src, tgt)
+    if kind == "new":
+        assert smith.call_count >= 1
+    else:
+        assert smith.call_count == 0
+        assert check.relators_mapped
 
 
 def test_check_edge_sees_torsion():
