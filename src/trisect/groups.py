@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse, permutations
+from itertools import chain, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, quotient_invariants
@@ -44,8 +44,8 @@ class MalformedCubeError(Exception):
 class Presentation:
     """A finite presentation; relators are nonempty, freely reduced words in 1..n.
 
-    The constructor checks every code and stores ``relators`` and ``names``
-    as tuples.
+    The constructor checks every code and name and stores ``relators`` and
+    ``names`` as tuples.
     """
 
     num_generators: int
@@ -64,6 +64,8 @@ class Presentation:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != n:
                 raise ValueError("need one name per generator")
+            if bad := [name for name in self.names if not isinstance(name, str)]:
+                raise TypeError(f"generator name {bad[0]!r} is not a str")
         for r in self.relators:
             if not r:
                 raise ValueError("empty relator (builders drop these)")
@@ -342,7 +344,7 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
     if m == 0:
         return free
 
-    perms = sorted(permutations(range(degree)))
+    perms = list(permutations(range(degree)))
     index = {perm: i for i, perm in enumerate(perms)}
     mul = [[index[tuple(pp[qq[k]] for k in range(degree))] for qq in perms] for pp in perms]
     inv = [index[tuple(sorted(range(degree), key=perm.__getitem__))] for perm in perms]
@@ -408,16 +410,17 @@ def diagram_hom_count(
 
 # --- the cube of groups -------------------------------------------------
 
-CUBE_VERTICES = (
-    "surface",
-    "handlebody_alpha",
-    "handlebody_beta",
-    "handlebody_gamma",
-    "sector_alpha_beta",
-    "sector_beta_gamma",
-    "sector_gamma_alpha",
-    "total",
-)
+_VERTEX_FAMILIES = {
+    "surface": (),
+    "handlebody_alpha": ("alpha",),
+    "handlebody_beta": ("beta",),
+    "handlebody_gamma": ("gamma",),
+    "sector_alpha_beta": ("alpha", "beta"),
+    "sector_beta_gamma": ("beta", "gamma"),
+    "sector_gamma_alpha": ("gamma", "alpha"),
+    "total": FAMILY_NAMES,
+}
+CUBE_VERTICES = tuple(_VERTEX_FAMILIES)
 
 CUBE_EDGES = (
     ("surface", "handlebody_alpha"),
@@ -474,21 +477,13 @@ def build_cube(d: TrisectionDiagram) -> GroupTrisectionCube:
     """The eight quotients of the surface group and the twelve quotient maps.
 
     Every vertex is presented on the surface generators; each map sends a
-    generator to the same-named generator.  Requires all three Heegaard
-    pairs to be homologically standard.
+    generator to the same-named generator.  All twelve maps hold the one
+    tuple ``_identity_images(2g)``, which :func:`verify_cube` trusts
+    unchecked.  Requires all three Heegaard pairs to be homologically standard.
     """
     k_triple(d)  # raises NotHomologicallyStandard if a pair has torsion
     quotient = _surface_quotients(d)
-    vertices = {
-        "surface": quotient(),
-        "handlebody_alpha": quotient("alpha"),
-        "handlebody_beta": quotient("beta"),
-        "handlebody_gamma": quotient("gamma"),
-        "sector_alpha_beta": quotient("alpha", "beta"),
-        "sector_beta_gamma": quotient("beta", "gamma"),
-        "sector_gamma_alpha": quotient("gamma", "alpha"),
-        "total": quotient("alpha", "beta", "gamma"),
-    }
+    vertices = {name: quotient(*families) for name, families in _VERTEX_FAMILIES.items()}
     identity = _identity_images(2 * d.genus)
     edges = tuple(CubeEdge(s, t, identity) for s, t in CUBE_EDGES)
     return GroupTrisectionCube(vertices, edges)
@@ -562,25 +557,24 @@ def _check_edge(
 
 
 def _pushout_presentation(
-    src: Presentation, q1: Presentation, q2: Presentation, e1: CubeEdge, e2: CubeEdge
+    q1: Presentation, q2: Presentation, images1: tuple[Word, ...], images2: tuple[Word, ...]
 ) -> Presentation:
     """Presentation of the pushout of q1 <- src -> q2.
 
     Generators of both targets side by side, all their relators, plus one
-    identification relator img1(x) * img2(x)^-1 per source generator,
-    freely reduced, when it is not trivial.  The relators of q1 and q2 are
-    reduced and shifting keeps them so, and :func:`verify_cube` has checked
-    every image against its target, so the result is built unchecked.
+    identification relator images1[i] * images2[i]^-1 per source generator
+    i, freely reduced, when it is not trivial.  The relators of q1 and q2
+    are reduced and shifting keeps them so, and :func:`verify_cube` passes
+    int tuples checked against their targets, so the result is built unchecked.
     """
     n1, n2 = q1.num_generators, q2.num_generators
 
     def shift(word):
         return tuple(t + n1 if t > 0 else t - n1 for t in word)
 
-    relators = list(q1.relators)
-    relators += [shift(r) for r in q2.relators]
-    for idx in range(src.num_generators):
-        if w := free_reduce(tuple(e1.images[idx]) + invert_word(shift(e2.images[idx]))):
+    relators = [*q1.relators, *map(shift, q2.relators)]
+    for w1, w2 in zip(images1, images2):
+        if w := free_reduce(w1 + invert_word(shift(w2))):
             relators.append(w)
     return _presentation(n1 + n2, tuple(relators), None)
 
@@ -610,10 +604,12 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     (``ValueError``), even when the rules settle every face.  Missing or
     extra vertices or edges, and a map with the wrong number of images or an
     image letter that is not a generator of its target, raise
-    ``MalformedCubeError`` before any check; the pushouts are built
-    unchecked on that basis.  The letters are checked one by one before the
-    identity rule, because images such as ``((1.0,), (2.0,))`` or
-    ``((True,), (2,))`` compare equal to an identity's.
+    ``MalformedCubeError`` before any check, the latter in one pass over the
+    maps that builds the image table the rules and pushouts read.  The pass
+    trusts the tuple ``_identity_images(n)``, n the target's generator
+    count, that every map of a built cube holds; any other map is stored as
+    int tuples and letter-checked before the identity rule, because images
+    such as ``((1.0,), (2.0,))`` or ``((True,), (2,))`` equal an identity's.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -623,31 +619,28 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         )
     if sorted((e.source, e.target) for e in cube.edges) != sorted(CUBE_EDGES):
         raise MalformedCubeError("cube does not have the twelve expected edges")
-    for e in cube.edges:
-        src, tgt = cube.vertices[e.source], cube.vertices[e.target]
-        if len(e.images) != src.num_generators:
-            raise MalformedCubeError(
-                f"map {e.source} -> {e.target} has {len(e.images)} images "
-                f"for {src.num_generators} generators"
-            )
-        for w in e.images:
-            for t in w:
-                if type(t) is not int or t == 0 or abs(t) > tgt.num_generators:
-                    raise MalformedCubeError(
-                        f"map {e.source} -> {e.target} mentions generator {t} "
-                        f"outside the target"
-                    )
     v = cube.vertices
+    images: dict[tuple[str, str], tuple[Word, ...]] = {}
+    identities: set[tuple[str, str]] = set()
+    for e in cube.edges:
+        n, nt = v[e.source].num_generators, v[e.target].num_generators
+        if len(e.images) != n:
+            raise MalformedCubeError(
+                f"map {e.source} -> {e.target} has {len(e.images)} images for {n} generators"
+            )
+        ident = _identity_images(nt)
+        words = e.images
+        if words is not ident:  # the package's identity tuple has letters 1..nt
+            words = tuple(map(tuple, words))
+            for t in chain.from_iterable(words):
+                if type(t) is not int or t == 0 or abs(t) > nt:
+                    raise MalformedCubeError(
+                        f"map {e.source} -> {e.target} mentions generator {t} outside the target"
+                    )
+        images[e.source, e.target] = words
+        if words == ident:
+            identities.add((e.source, e.target))
     relators = {name: set(p.relators) for name, p in v.items()}
-    identities = {  # images written as lists are compared as tuples
-        (e.source, e.target)
-        for e in cube.edges
-        if v[e.source].num_generators == v[e.target].num_generators
-        and (
-            e.images == (ident := _identity_images(v[e.source].num_generators))
-            or tuple(map(tuple, e.images)) == ident
-        )
-    }
     # memos: each vertex abelianized and Tietze-reduced at most once, and
     # only when needed (a result is a nonempty tuple or a Presentation, so
     # never falsy)
@@ -670,7 +663,7 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             status = "Verified"
         else:
             pushout = _pushout_presentation(
-                v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
+                v[mid1], v[mid2], images[source, mid1], images[source, mid2]
             )
             left = tietze_simplify(pushout, budget)
             right = reduced.get(sink) or reduced.setdefault(sink, tietze_simplify(v[sink], budget))

@@ -275,6 +275,14 @@ class TestPresentation:
         with pytest.raises(TypeError):
             Presentation(1.0, ())
 
+    def test_rejects_names_that_are_not_strings(self):
+        # such names used to be accepted, and formatting the result raised
+        for build in (Presentation, presentation):
+            for names in ((3,), (None,), (b"x",)):
+                with pytest.raises(TypeError, match="is not a str"):
+                    build(1, ((-1,),), names=names)
+        assert Presentation(1, ((-1,),), names=["x"]).names == ("x",)
+
     def test_names(self):
         p = Presentation(2, (), names=("u", "v"))
         assert p.generator_names() == ("u", "v")
@@ -543,7 +551,7 @@ class TestTietze:
         sinks = {}
         for source, mid1, mid2, sink in CUBE_FACES:
             e1, e2 = cube.edge(source, mid1), cube.edge(source, mid2)
-            left = tietze_simplify(_pushout_presentation(v[source], v[mid1], v[mid2], e1, e2), 1000)
+            left = tietze_simplify(_pushout_presentation(v[mid1], v[mid2], e1.images, e2.images), 1000)
             if sink not in sinks:
                 sinks[sink] = tietze_simplify(v[sink], 1000)
             assert (left.num_generators, left.relators) == (
@@ -967,6 +975,43 @@ class TestCube:
             verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
         assert calls == Counter()
 
+    @settings(max_examples=20, deadline=None)
+    @given(moved_diagrams())
+    def test_built_maps_share_the_trusted_identity_tuple(self, library, d):
+        # verify_cube skips the letter walk for exactly this one tuple
+        for diagram in (*library.values(), d):
+            ident = groups._identity_images(2 * diagram.genus)
+            assert all(e.images is ident for e in build_cube(diagram).edges)
+
+    def test_cleared_identity_cache_gives_the_same_report(self):
+        # after the clear, the maps of a cube built before it are no longer
+        # the cached tuple, so they take the value path; at budget 0 the
+        # identity rule must still settle the faces that Tietze cannot
+        d = connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2"))
+        cubes = [build_cube(d)] + cube_variants(build_cube(d))
+        before = [verify_cube(c, budget) for c in cubes for budget in (0, 1000)]
+        groups._identity_images.cache_clear()
+        assert cubes[0].edges[0].images is not groups._identity_images(2 * d.genus)
+        assert [verify_cube(c, budget) for c in cubes for budget in (0, 1000)] == before
+
+    def test_shared_tuple_into_a_smaller_vertex_is_letter_checked(self):
+        # the maps into the corrupted sector keep the built cube's 2g-tuple,
+        # which names generator 2 of a 1-generator target: trusted only as
+        # the identity of its target's count, it is letter-checked and refused
+        cube = build_cube(standard_diagram("CP2"))
+        vertices = dict(cube.vertices, sector_alpha_beta=Presentation(1, ((1, 1),), ("x",)))
+        edges = tuple(
+            CubeEdge(e.source, e.target, ((),)) if e.source == "sector_alpha_beta" else e
+            for e in cube.edges
+        )
+        shared = groups._identity_images(2)
+        assert all(e.images is shared for e in edges if e.target == "sector_alpha_beta")
+        with pytest.raises(
+            MalformedCubeError,
+            match="^map handlebody_alpha -> sector_alpha_beta mentions generator 2 outside the target$",
+        ):
+            verify_cube(GroupTrisectionCube(vertices, edges), 10)
+
     @pytest.mark.parametrize("sector", ["sector_alpha_beta", "sector_beta_gamma", "sector_gamma_alpha"])
     def test_list_images_give_the_tuple_report(self, sector):
         # a library caller may write a map's images as lists; the pushouts
@@ -1112,7 +1157,7 @@ def tietze_only_verify(cube, budget):
     faces = []
     for source, mid1, mid2, sink in CUBE_FACES:
         pushout = _pushout_presentation(
-            v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
+            v[mid1], v[mid2], cube.edge(source, mid1).images, cube.edge(source, mid2).images
         )
         if abelianize_presentation(pushout) != abelianize_presentation(v[sink]):
             status = "Failed"
@@ -1209,7 +1254,7 @@ def assert_cube_trusted(cube):
     for source, mid1, mid2, _ in CUBE_FACES:
         built.append(
             _pushout_presentation(
-                v[source], v[mid1], v[mid2], cube.edge(source, mid1), cube.edge(source, mid2)
+                v[mid1], v[mid2], cube.edge(source, mid1).images, cube.edge(source, mid2).images
             )
         )
     for p in built:
@@ -1256,6 +1301,21 @@ def test_cube_edges_constant_is_a_cube():
     assert out_degree["surface"] == 3
     assert all(out_degree[f"handlebody_{f}"] == 2 for f in ("alpha", "beta", "gamma"))
     assert in_degree["total"] == 3
+    # against the vertex table: each edge adds exactly one family, the edges
+    # are every such covering pair once, and each face's sink carries the
+    # union of its middle corners' families
+    fams = {name: set(f) for name, f in groups._VERTEX_FAMILIES.items()}
+    assert tuple(fams) == CUBE_VERTICES
+
+    def covers(s, t):
+        return fams[s] < fams[t] and len(fams[t] - fams[s]) == 1
+
+    assert all(covers(s, t) for s, t in CUBE_EDGES)
+    assert len(set(CUBE_EDGES)) == len(CUBE_EDGES)
+    assert set(CUBE_EDGES) == {(s, t) for s in fams for t in fams if covers(s, t)}
+    for source, mid1, mid2, sink in CUBE_FACES:
+        assert {(source, mid1), (source, mid2), (mid1, sink), (mid2, sink)} <= set(CUBE_EDGES)
+        assert fams[sink] == fams[mid1] | fams[mid2]
 
 
 class TestR12:
