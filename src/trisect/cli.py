@@ -165,7 +165,8 @@ def _cmd_cube(args) -> int:
             print(f"face {','.join(f.vertices)}: {f.status}")
         print(f"verdict: {'ok' if report.ok else 'failed'}")
         return 0 if report.ok else 1
-    for name, p in cube.vertices.items():
+    for name in cube.vertices:
+        p = cube.vertices[name]
         rank, torsion = abelianize_presentation(p)
         print(f"vertex {name}: {format_abelian(rank, torsion)}, relators {len(p.relators)}")
     for e in cube.edges:

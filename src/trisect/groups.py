@@ -477,9 +477,8 @@ def build_cube(d: TrisectionDiagram) -> GroupTrisectionCube:
     """The eight quotients of the surface group and the twelve quotient maps.
 
     Every vertex is presented on the surface generators; each map sends a
-    generator to the same-named generator.  All twelve maps hold the one
-    tuple ``_identity_images(2g)``, which :func:`verify_cube` trusts
-    unchecked.  Requires all three Heegaard pairs to be homologically standard.
+    generator to the same-named generator.  Requires all three Heegaard
+    pairs to be homologically standard.
     """
     k_triple(d)  # raises NotHomologicallyStandard if a pair has torsion
     quotient = _surface_quotients(d)
@@ -572,7 +571,8 @@ def _pushout_presentation(
     def shift(word):
         return tuple(t + n1 if t > 0 else t - n1 for t in word)
 
-    relators = [*q1.relators, *map(shift, q2.relators)]
+    relators = list(q1.relators)
+    relators += [shift(r) for r in q2.relators]
     for w1, w2 in zip(images1, images2):
         if w := free_reduce(w1 + invert_word(shift(w2))):
             relators.append(w)
@@ -605,11 +605,10 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     extra vertices or edges, and a map with the wrong number of images or an
     image letter that is not a generator of its target, raise
     ``MalformedCubeError`` before any check, the latter in one pass over the
-    maps that builds the image table the rules and pushouts read.  The pass
-    trusts the tuple ``_identity_images(n)``, n the target's generator
-    count, that every map of a built cube holds; any other map is stored as
-    int tuples and letter-checked before the identity rule, because images
-    such as ``((1.0,), (2.0,))`` or ``((True,), (2,))`` equal an identity's.
+    maps that stores each map as int tuples in the image table the rules
+    and pushouts read.  Every letter is checked before the identity rule,
+    because images such as ``((1.0,), (2.0,))`` or ``((True,), (2,))``
+    equal an identity's.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -626,19 +625,18 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         n, nt = v[e.source].num_generators, v[e.target].num_generators
         if len(e.images) != n:
             raise MalformedCubeError(
-                f"map {e.source} -> {e.target} has {len(e.images)} images for {n} generators"
+                f"map {e.source} -> {e.target} has {len(e.images)} images "
+                f"for {n} generators"
             )
-        ident = _identity_images(nt)
-        words = e.images
-        if words is not ident:  # the package's identity tuple has letters 1..nt
-            words = tuple(map(tuple, words))
-            for t in chain.from_iterable(words):
-                if type(t) is not int or t == 0 or abs(t) > nt:
-                    raise MalformedCubeError(
-                        f"map {e.source} -> {e.target} mentions generator {t} outside the target"
-                    )
+        words = tuple(map(tuple, e.images))
+        for t in chain.from_iterable(words):
+            if type(t) is not int or t == 0 or abs(t) > nt:
+                raise MalformedCubeError(
+                    f"map {e.source} -> {e.target} mentions generator {t} "
+                    f"outside the target"
+                )
         images[e.source, e.target] = words
-        if words == ident:
+        if n == nt and words == _identity_images(n):
             identities.add((e.source, e.target))
     relators = {name: set(p.relators) for name, p in v.items()}
     # memos: each vertex abelianized and Tietze-reduced at most once, and

@@ -551,7 +551,8 @@ class TestTietze:
         sinks = {}
         for source, mid1, mid2, sink in CUBE_FACES:
             e1, e2 = cube.edge(source, mid1), cube.edge(source, mid2)
-            left = tietze_simplify(_pushout_presentation(v[mid1], v[mid2], e1.images, e2.images), 1000)
+            pushout = _pushout_presentation(v[mid1], v[mid2], e1.images, e2.images)
+            left = tietze_simplify(pushout, 1000)
             if sink not in sinks:
                 sinks[sink] = tietze_simplify(v[sink], 1000)
             assert (left.num_generators, left.relators) == (
@@ -975,40 +976,19 @@ class TestCube:
             verify_cube(GroupTrisectionCube(cube.vertices, edges), 10)
         assert calls == Counter()
 
-    @settings(max_examples=20, deadline=None)
-    @given(moved_diagrams())
-    def test_built_maps_share_the_trusted_identity_tuple(self, library, d):
-        # verify_cube skips the letter walk for exactly this one tuple
-        for diagram in (*library.values(), d):
-            ident = groups._identity_images(2 * diagram.genus)
-            assert all(e.images is ident for e in build_cube(diagram).edges)
-
-    def test_cleared_identity_cache_gives_the_same_report(self):
-        # after the clear, the maps of a cube built before it are no longer
-        # the cached tuple, so they take the value path; at budget 0 the
-        # identity rule must still settle the faces that Tietze cannot
-        d = connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2"))
-        cubes = [build_cube(d)] + cube_variants(build_cube(d))
-        before = [verify_cube(c, budget) for c in cubes for budget in (0, 1000)]
-        groups._identity_images.cache_clear()
-        assert cubes[0].edges[0].images is not groups._identity_images(2 * d.genus)
-        assert [verify_cube(c, budget) for c in cubes for budget in (0, 1000)] == before
-
     def test_shared_tuple_into_a_smaller_vertex_is_letter_checked(self):
         # the maps into the corrupted sector keep the built cube's 2g-tuple,
-        # which names generator 2 of a 1-generator target: trusted only as
-        # the identity of its target's count, it is letter-checked and refused
+        # which names generator 2 of a 1-generator target
         cube = build_cube(standard_diagram("CP2"))
         vertices = dict(cube.vertices, sector_alpha_beta=Presentation(1, ((1, 1),), ("x",)))
         edges = tuple(
             CubeEdge(e.source, e.target, ((),)) if e.source == "sector_alpha_beta" else e
             for e in cube.edges
         )
-        shared = groups._identity_images(2)
-        assert all(e.images is shared for e in edges if e.target == "sector_alpha_beta")
         with pytest.raises(
             MalformedCubeError,
-            match="^map handlebody_alpha -> sector_alpha_beta mentions generator 2 outside the target$",
+            match="^map handlebody_alpha -> sector_alpha_beta mentions generator 2 "
+            "outside the target$",
         ):
             verify_cube(GroupTrisectionCube(vertices, edges), 10)
 
