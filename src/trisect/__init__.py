@@ -21,7 +21,6 @@ from .intmatrix import (
     symplectic_pairing,
 )
 from .diagrams import (
-    Curve,
     CutSystem,
     FAMILY_NAMES,
     HeegaardDiagram,

@@ -10,7 +10,7 @@ on the algebraic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .intmatrix import IntMatrix, _matrix, _pairing, quotient_invariants
 from .words import (
@@ -44,27 +44,32 @@ class InvalidCutSystemError(Exception):
         super().__init__(message if family is None else f"{family}: {message}")
 
 
+class _Keeps:
+    def _keep(self, key, compute):
+        """``compute()`` once per object and ``key``, kept outside the fields so
+        equality, hash, repr and text hold; a raise is not kept."""
+        kept = vars(self).setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
+
 @dataclass(frozen=True)
-class Curve:
-    """A curve class: cyclically reduced word plus its homology vector."""
+class CutSystem(_Keeps):
+    """g cyclically reduced curve words on a genus-g surface whose homology
+    span is Lagrangian and primitive.
 
-    word: Word
-    homology: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CutSystem:
-    """g curves on a genus-g surface whose span is Lagrangian and primitive."""
+    The words are the whole of a cut system: its homology rows are derived
+    from them by :meth:`matrix`, on first use, and kept on the object.
+    """
 
     genus: int
-    curves: tuple[Curve, ...]
-
-    def words(self) -> tuple[Word, ...]:
-        return tuple(c.word for c in self.curves)
+    words: tuple[Word, ...]
 
     def matrix(self) -> IntMatrix:
-        """The g x 2g matrix of homology rows."""
-        return _matrix(tuple(c.homology for c in self.curves), 2 * self.genus)
+        """The g x 2g matrix of homology rows, one abelianized word each."""
+        g = self.genus
+        return self._keep("matrix", lambda: _matrix(tuple(abelianize_word(w, g) for w in self.words), 2 * g))
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class HeegaardDiagram:
 
 
 @dataclass(frozen=True)
-class TrisectionDiagram:
+class TrisectionDiagram(_Keeps):
     genus: int
     alpha: CutSystem
     beta: CutSystem
@@ -89,14 +94,6 @@ class TrisectionDiagram:
     def families(self) -> tuple[CutSystem, CutSystem, CutSystem]:
         return (self.alpha, self.beta, self.gamma)
 
-    def _keep(self, key, compute):
-        """``compute()`` once per object and ``key``, kept outside the fields so
-        equality, hash, repr and text hold; a raise is not kept."""
-        kept = vars(self).setdefault("_kept", {})
-        if key not in kept:
-            kept[key] = compute()
-        return kept[key]
-
 
 def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     """Validate curve words and build a :class:`CutSystem`.
@@ -104,10 +101,11 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     Checks, in order: exactly ``genus`` curves; generator indices within the
     genus; all pairwise algebraic intersection numbers zero; the homology
     span is a primitive sublattice of full rank g (all Smith divisors 1).
-    This and the constructors built on it are where outside words enter;
-    the moves below keep a cut system valid by construction.
+    The checks read the rows the system keeps for the invariants.  This
+    and the constructors built on it are where outside words enter; the
+    moves below keep a cut system valid by construction.
     """
-    words = [cyclic_reduce(w) for w in word_seq]
+    words = tuple(cyclic_reduce(w) for w in word_seq)
     if len(words) != genus:
         raise InvalidCutSystemError(
             "count", f"expected {genus} curves, got {len(words)}", family=family
@@ -119,8 +117,8 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                 f"token index {max_index(w)} exceeds genus {genus}",
                 family=family,
             )
-    system = CutSystem(genus, tuple(Curve(w, abelianize_word(w, genus)) for w in words))
-    rows = [c.homology for c in system.curves]
+    system = CutSystem(genus, words)
+    rows = system.matrix().rows
     gram = _pairing(rows[:-1], rows, genus)  # the last row has no pair above the diagonal
     for i in range(genus):
         for j in range(i + 1, genus):
@@ -166,10 +164,11 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
     """Slide curve ``i`` over curve ``j`` (0-based indices).
 
     Curve i's word becomes ``w_i * (c * w_j^sign * c^-1)`` cyclically
-    reduced, so homology row i becomes ``row_i + sign*row_j``: reduction and
-    conjugation leave exponent sums unchanged.  Row operations preserve both
-    cut-system conditions, so the result is built directly, with the other
-    curves reused, and is not validated again.
+    reduced, so its homology row becomes ``row_i + sign*row_j``: reduction
+    and conjugation leave exponent sums unchanged.  Row operations preserve
+    both cut-system conditions, so the result is built from the words
+    directly, with the other words reused, and is neither validated nor
+    abelianized.
     """
     g = system.genus
     if not (0 <= i < g and 0 <= j < g):
@@ -181,41 +180,40 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
     conjugator = tuple(conjugator)
     if max_index(conjugator) > g:
         raise ValueError(f"conjugator index exceeds genus {g}")
-    curves = list(system.curves)
-    wj = curves[j].word
+    words = list(system.words)
+    wj = words[j]
     if sign == -1:
         wj = invert_word(wj)
-    row = tuple(a + sign * b for a, b in zip(curves[i].homology, curves[j].homology))
-    curves[i] = Curve(cyclic_reduce(curves[i].word + conjugator + wj + invert_word(conjugator)), row)
-    return CutSystem(g, tuple(curves))
+    words[i] = cyclic_reduce(words[i] + conjugator + wj + invert_word(conjugator))
+    return CutSystem(g, tuple(words))
 
 
 def slide_family(d: TrisectionDiagram, family: str, i: int, j: int, conjugator=(), sign: int = 1) -> TrisectionDiagram:
-    """Apply :func:`handle_slide` to one family of a trisection diagram."""
-    return replace(d, **{family: handle_slide(d.family(family), i, j, conjugator, sign)})
+    """Apply :func:`handle_slide` to one family of a trisection diagram.
+
+    The other two families are the same objects as in ``d``, so the rows
+    they keep are shared.
+    """
+    slid = handle_slide(d.family(family), i, j, conjugator, sign)
+    fams = (slid if name == family else s for name, s in zip(FAMILY_NAMES, d.families()))
+    return TrisectionDiagram(d.genus, *fams)
 
 
 def _block_sum(s1: CutSystem, s2: CutSystem) -> CutSystem:
     """``s1`` on the first handles and ``s2``, shifted past them, on the next ones.
 
     The block sum of two cut systems on disjoint handles is a cut system,
-    so it is built without validation.  Homology rows are the old rows
-    padded with zeros in the (a_1..a_g, b_1..b_g) layout; nothing is
-    abelianized again.
+    so it is built without validation: its words are those of ``s1``
+    followed by those of ``s2`` with their indices shifted.  No row is
+    computed here.
     """
-    g1, g2 = s1.genus, s2.genus
-    z1, z2 = (0,) * g1, (0,) * g2
-    curves = tuple(Curve(c.word, c.homology[:g1] + z2 + c.homology[g1:] + z2) for c in s1.curves)
-    curves += tuple(
-        Curve(shift_indices(c.word, g1), z1 + c.homology[:g2] + z1 + c.homology[g2:])
-        for c in s2.curves
-    )
-    return CutSystem(g1 + g2, curves)
+    g1 = s1.genus
+    return CutSystem(g1 + s2.genus, (*s1.words, *(shift_indices(w, g1) for w in s2.words)))
 
 
 # one handle's longitude a_1 and meridian b_1, each a cut system of genus 1
-_LONGITUDE = CutSystem(1, (Curve((token_code("a", 1),), (1, 0)),))
-_MERIDIAN = CutSystem(1, (Curve((token_code("b", 1),), (0, 1)),))
+_LONGITUDE = CutSystem(1, ((token_code("a", 1),),))
+_MERIDIAN = CutSystem(1, ((token_code("b", 1),),))
 
 
 def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
@@ -225,7 +223,7 @@ def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
     families gain the longitude a_{g+1}.  The Euler characteristic of the
     encoded 4-manifold is unchanged: the genus and the total of the three
     pair ranks both grow by one.  Each family is the block sum of itself
-    and the new handle's curve.
+    and the new handle's curve: its words with the new word appended.
     """
     if family not in FAMILY_NAMES:
         raise ValueError(f"unknown family {family!r}")
@@ -238,7 +236,8 @@ def stabilize(d: TrisectionDiagram, family: str) -> TrisectionDiagram:
 
 def connected_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDiagram:
     """Diagrammatic connected sum: each family is the block sum of its two
-    cut systems, with d2's indices shifted past d1's handles."""
+    cut systems, d1's words followed by d2's with their indices shifted
+    past d1's handles."""
     fams = (_block_sum(s1, s2) for s1, s2 in zip(d1.families(), d2.families()))
     return TrisectionDiagram(d1.genus + d2.genus, *fams)
 

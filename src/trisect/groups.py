@@ -145,7 +145,7 @@ def _surface_quotients(d: TrisectionDiagram):
     names = tuple(f"a{i}" for i in range(1, g + 1)) + tuple(f"b{i}" for i in range(1, g + 1))
     surf = [_surface_relator(g)] if g else []
     curves = {
-        name: [r for r in (_curve_relator(c.word, g) for c in d.family(name).curves) if r]
+        name: [r for r in (_curve_relator(w, g) for w in d.family(name).words) if r]
         for name in FAMILY_NAMES
     }
 
@@ -518,9 +518,11 @@ class CubeReport:
 
 
 def _check_edge(
-    edge: CubeEdge, src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]]
+    source: str, target: str, images: tuple[Word, ...],
+    src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]],
 ) -> EdgeCheck:
-    """Surjectivity and relator check of one map against its target's lattice.
+    """Surjectivity and relator check of the map ``source -> target`` with
+    generator images ``images`` against its target's lattice.
 
     With L the target's relator lattice, each test adds rows to L and
     compares Z^n/L' with the target's abelianization ``tgt_abelian``.  A
@@ -528,7 +530,7 @@ def _check_edge(
     every added row is of that kind the answer is ``tgt_abelian`` and no
     Smith form is taken.
     """
-    nt, images = tgt.num_generators, edge.images
+    nt = tgt.num_generators
     tgt_rows = tuple(_exponent_vector(r, nt) for r in tgt.relators)
     in_lattice = {(0,) * nt, *tgt_rows}
 
@@ -552,7 +554,7 @@ def _check_edge(
     # L' = L, and the images already lie in L.  Unequal invariants put some
     # image outside L.
     mapped = quotient(tuple(_exponent_vector(image(r), nt) for r in src.relators)) == tgt_abelian
-    return EdgeCheck(edge.source, edge.target, surjectivity, mapped)
+    return EdgeCheck(source, target, surjectivity, mapped)
 
 
 def _pushout_presentation(
@@ -605,10 +607,10 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     extra vertices or edges, and a map with the wrong number of images or an
     image letter that is not a generator of its target, raise
     ``MalformedCubeError`` before any check, the latter in one pass over the
-    maps that stores each map as int tuples in the image table the rules
-    and pushouts read.  Every letter is checked before the identity rule,
-    because images such as ``((1.0,), (2.0,))`` or ``((True,), (2,))``
-    equal an identity's.
+    maps that stores each map as int tuples in the image table that the
+    rules, the edge checks and the pushouts read.  Every letter is checked
+    before the identity rule, because images such as ``((1.0,), (2.0,))``
+    or ``((True,), (2,))`` equal an identity's.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -648,11 +650,11 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     def abelian_of(name):
         return abelian.get(name) or abelian.setdefault(name, abelianize_presentation(v[name]))
 
-    edge_checks = tuple(
-        EdgeCheck(e.source, e.target, "exact", True)
-        if (e.source, e.target) in identities and relators[e.source] <= relators[e.target]
-        else _check_edge(e, v[e.source], v[e.target], abelian_of(e.target))
-        for e in cube.edges
+    edge_checks = tuple(  # the table's keys are the edges, in the cube's order
+        EdgeCheck(s, t, "exact", True)
+        if (s, t) in identities and relators[s] <= relators[t]
+        else _check_edge(s, t, images[s, t], v[s], v[t], abelian_of(t))
+        for s, t in images
     )
     face_checks = []
     for source, mid1, mid2, sink in CUBE_FACES:

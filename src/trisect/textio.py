@@ -130,8 +130,8 @@ def serialize(d) -> str:
         raise TypeError(f"cannot serialize {type(d).__name__}")
     lines = [kind, f"genus {d.genus}"]
     for name, system in fams:
-        if system.curves:
-            lines.append(name + " " + " | ".join(format_word(w) for w in system.words()))
+        if system.words:
+            lines.append(name + " " + " | ".join(map(format_word, system.words)))
         else:
             lines.append(name)
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import trisect.diagrams
 from conftest import moved_diagrams, random_move_sequence
 from trisect.diagrams import (
+    CutSystem,
     InvalidCutSystemError,
     connected_sum,
     cut_system,
@@ -17,8 +18,8 @@ from trisect.diagrams import (
     trisection_diagram,
 )
 from trisect.intmatrix import IntMatrix, symplectic_pairing
-from trisect.invariants import k_triple
-from trisect.textio import serialize
+from trisect.invariants import form_invariants, homology, intersection_form, k_triple
+from trisect.textio import parse, serialize
 from trisect.words import abelianize_word, cyclic_reduce, free_reduce, invert_word, parse_word
 
 
@@ -42,7 +43,7 @@ class TestValidation:
 
     def test_diagonal_curve(self):
         sys = cut_system(words("a1 b1"), 1)
-        assert sys.curves[0].homology == (1, 1)
+        assert sys.matrix().rows == ((1, 1),)
 
     def test_imprimitive_curve(self):
         with pytest.raises(InvalidCutSystemError) as exc:
@@ -107,11 +108,11 @@ class TestValidation:
         assert exc.value.reason == "imprimitive"
 
     def test_genus_zero(self):
-        assert cut_system([], 0).curves == ()
+        assert cut_system([], 0).words == ()
 
     def test_curves_stored_cyclically_reduced(self):
         sys = cut_system([parse_word("A2 a1 a2")], 1)
-        assert sys.curves[0].word == parse_word("a1")
+        assert sys.words == (parse_word("a1"),)
 
 
 def reference_slid_word(wi, wj, conjugator, sign):
@@ -126,7 +127,7 @@ class TestHandleSlide:
     def test_basic_slide(self):
         sys = cut_system(words("a1", "a2"), 2)
         out = handle_slide(sys, 0, 1)
-        assert out.words() == (parse_word("a1 a2"), parse_word("a2"))
+        assert out.words == (parse_word("a1 a2"), parse_word("a2"))
         assert out.matrix() == IntMatrix([[1, 1, 0, 0], [0, 1, 0, 0]])
 
     def test_slide_back_restores_homology(self):
@@ -150,7 +151,7 @@ class TestHandleSlide:
     def test_unreduced_conjugator(self):
         sys = cut_system(words("a1 b1", "a2 B2"), 2)
         out = handle_slide(sys, 0, 1, parse_word("a1 A1 b2"))
-        assert out.curves[0].word == parse_word("a1 b1 b2 a2 B2 B2")
+        assert out.words[0] == parse_word("a1 b1 b2 a2 B2 B2")
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -166,9 +167,9 @@ class TestHandleSlide:
             x = data.draw(letter)
             conj = (*data.draw(st.lists(letter, max_size=3)), x, -x, *data.draw(st.lists(letter, max_size=3)))
             sign = data.draw(st.sampled_from((1, -1)))
-            expected = reference_slid_word(sys.curves[i].word, sys.curves[j].word, conj, sign)
+            expected = reference_slid_word(sys.words[i], sys.words[j], conj, sign)
             sys = handle_slide(sys, i, j, conj, sign)
-            assert sys.curves[i].word == expected
+            assert sys.words[i] == expected
 
     def test_random_slides_preserve_validity(self):
         # row operations keep the span Lagrangian and primitive, so a slide
@@ -183,12 +184,10 @@ class TestHandleSlide:
                 rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(0, 2))
             )
             sys = handle_slide(sys, i, j, conj, rng.choice((1, -1)))
-            assert sys == cut_system(sys.words(), 3)
-            pairs = [
-                symplectic_pairing(sys.curves[i].homology, sys.curves[j].homology, 3)
-                for i in range(3)
-                for j in range(3)
-            ]
+            assert sys == cut_system(sys.words, 3)
+            rows = sys.matrix().rows
+            assert rows == tuple(abelianize_word(w, 3) for w in sys.words)
+            pairs = [symplectic_pairing(rows[i], rows[j], 3) for i in range(3) for j in range(3)]
             assert set(pairs) == {0}
 
 
@@ -203,19 +202,25 @@ class TestMovesBuildCutSystems:
         moved = random_move_sequence(total, random.Random(seed), max_moves=6)[0]
         for d in (d1, d2, total, moved):
             for s in d.families():
-                assert s == cut_system(s.words(), d.genus)
+                assert s == cut_system(s.words, d.genus)
 
     @settings(max_examples=60, deadline=None)
-    @given(moved_diagrams(max_moves=6), moved_diagrams(max_moves=6))
-    def test_padded_rows_are_abelianized_words(self, d1, d2):
-        # stabilize and connected_sum pad the old rows with zeros
+    @given(moved_diagrams(max_moves=6, torsion=True), moved_diagrams(max_moves=6), st.integers(0, 2**32))
+    def test_moved_rows_are_abelianized_words(self, d1, d2, seed):
+        # moves act on words alone; the rows a moved, summed or stabilized
+        # diagram derives are its abelianized words, and its invariants are
+        # those of the same words parsed back from text
         s4 = standard_diagram("S4")
         sums = (connected_sum(d1, d2), connected_sum(d2, d1), connected_sum(d1, s4))
-        for d in (*sums, *(stabilize(d1, fam) for fam in ("alpha", "beta", "gamma"))):
+        moved = random_move_sequence(sums[0], random.Random(seed), max_moves=4)[0]
+        for d in (*sums, moved, *(stabilize(d1, fam) for fam in ("alpha", "beta", "gamma"))):
             for s in d.families():
-                assert len(s.curves) == s.genus == d.genus
-                for c in s.curves:
-                    assert c.homology == abelianize_word(c.word, d.genus)
+                assert len(s.words) == s.genus == d.genus
+                assert s.matrix().rows == tuple(abelianize_word(w, d.genus) for w in s.words)
+        back = parse(serialize(moved))
+        assert k_triple(moved) == k_triple(back)
+        assert homology(moved) == homology(back)
+        assert form_invariants(intersection_form(moved)) == form_invariants(intersection_form(back))
 
     def test_moves_make_no_cut_system_calls(self, monkeypatch):
         calls = []
@@ -237,14 +242,45 @@ class TestMovesBuildCutSystems:
         assert d.genus == 4
         assert calls == []
 
+    def test_moves_abelianize_no_word_and_slides_share_rows(self, monkeypatch):
+        # moves act on words; rows are derived when an invariant asks, and a
+        # slide keeps the two other families, whose kept rows are reused
+        calls = []
+        real = trisect.diagrams.abelianize_word
+
+        def counting(word, genus):
+            calls.append(word)
+            return real(word, genus)
+
+        monkeypatch.setattr(trisect.diagrams, "abelianize_word", counting)
+        d = connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2"))
+        other = standard_diagram("CP2BAR")
+        calls.clear()
+        d = stabilize(d, "beta")
+        d = slide_family(d, "gamma", 0, 3, words("b2")[0], -1)
+        d = slide_family(d, "beta", 1, 0)
+        d = connected_sum(d, stabilize(other, "alpha"))
+        assert d.genus == 6
+        assert calls == []
+        k_triple(d)
+        assert len(calls) == 3 * d.genus
+        calls.clear()
+        slid = slide_family(d, "beta", 2, 4, words("a1 B3")[0], -1)
+        assert calls == []
+        assert slid.alpha is d.alpha and slid.gamma is d.gamma
+        assert k_triple(slid) == k_triple(d)
+        assert calls == list(slid.beta.words)
+        fresh = CutSystem(slid.genus, slid.beta.words)  # equality, hash and repr ignore kept rows
+        assert (fresh, hash(fresh), repr(fresh)) == (slid.beta, hash(slid.beta), repr(slid.beta))
+
 
 class TestStabilize:
     def test_stabilize_s4(self):
         d = stabilize(standard_diagram("S4"), "alpha")
         assert d.genus == 1
-        assert d.alpha.words() == (parse_word("b1"),)
-        assert d.beta.words() == (parse_word("a1"),)
-        assert d.gamma.words() == (parse_word("a1"),)
+        assert d.alpha.words == (parse_word("b1"),)
+        assert d.beta.words == (parse_word("a1"),)
+        assert d.gamma.words == (parse_word("a1"),)
         assert k_triple(d) == (0, 1, 0)
 
     def test_triple_stabilization_raises_each_k(self, library):
@@ -271,7 +307,7 @@ class TestConnectedSum:
     def test_index_shift(self):
         d = connected_sum(standard_diagram("CP2"), standard_diagram("CP2BAR"))
         assert d.genus == 2
-        assert d.gamma.words() == (parse_word("a1 b1"), parse_word("a2 B2"))
+        assert d.gamma.words == (parse_word("a1 b1"), parse_word("a2 B2"))
 
     def test_k_values_add(self, library):
         from trisect.invariants import euler_characteristic
@@ -289,7 +325,7 @@ class TestConnectedSum:
 class TestStandardDiagrams:
     def test_s4_genus_zero(self):
         d = standard_diagram("S4")
-        assert d.genus == 0 and d.alpha.curves == ()
+        assert d.genus == 0 and d.alpha.words == ()
 
     def test_names_case_insensitive(self):
         assert serialize(standard_diagram("cp2")) == serialize(standard_diagram("CP2"))
@@ -306,9 +342,8 @@ class TestStandardDiagrams:
         from trisect.words import abelianize_word
 
         for d in library.values():
-            for system in d.families():
-                for curve in system.curves:
-                    assert curve.homology == abelianize_word(curve.word, d.genus)
+            for s in d.families():
+                assert s.matrix().rows == tuple(abelianize_word(w, d.genus) for w in s.words)
 
 
 class TestHeegaardPairs:

@@ -315,9 +315,9 @@ class TestPi1:
         # reduction and equals what the old loop made
         parsed = [parse((FIXTURES / f"{stem}.tri").read_text()) for stem in PARSED_FIXTURES]
         for d in (*parsed, *library.values(), moved):
-            for c in (c for f in d.families() for c in f.curves):
-                assert cyclic_reduce(c.word) == c.word
-                assert _curve_relator(c.word, d.genus) == reference_curve_relator(c.word, d.genus)
+            for w in (w for f in d.families() for w in f.words):
+                assert cyclic_reduce(w) == w
+                assert _curve_relator(w, d.genus) == reference_curve_relator(w, d.genus)
 
     def test_s4_trivial_presentation(self):
         p = pi1_presentation(standard_diagram("S4"))
@@ -1057,7 +1057,8 @@ def test_check_edge_matches_membership_oracle(edge):
     # mapped by comparing the invariants of the target's abelianization with
     # those of its quotient by the images, against membership row by row
     e, src, tgt = edge
-    assert _check_edge(e, src, tgt, abelianize_presentation(tgt)) == reference_edge(e, src, tgt)
+    check = _check_edge(e.source, e.target, e.images, src, tgt, abelianize_presentation(tgt))
+    assert check == reference_edge(e, src, tgt)
 
 
 @st.composite
@@ -1109,7 +1110,7 @@ def test_check_edge_reuses_the_target_lattice_only_when_no_row_is_new(edge):
     abelian = abelianize_presentation(tgt)
     smith = mock.Mock(wraps=groups.quotient_invariants)
     with mock.patch.object(groups, "quotient_invariants", smith):
-        check = _check_edge(e, src, tgt, abelian)
+        check = _check_edge(e.source, e.target, e.images, src, tgt, abelian)
     assert check == reference_edge(e, src, tgt)
     if kind == "new":
         assert smith.call_count >= 1
@@ -1124,7 +1125,8 @@ def test_check_edge_sees_torsion():
     src, tgt = presentation(1, [(1,)]), presentation(1, [(1, 1)])
     for image, mapped in (((1,), False), ((1, 1, 1, 1), True)):
         e = CubeEdge("source", "target", (image,))
-        assert _check_edge(e, src, tgt, abelianize_presentation(tgt)).relators_mapped is mapped
+        check = _check_edge(e.source, e.target, e.images, src, tgt, abelianize_presentation(tgt))
+        assert check.relators_mapped is mapped
         assert reference_edge(e, src, tgt).relators_mapped is mapped
 
 

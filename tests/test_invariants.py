@@ -63,7 +63,7 @@ class TestPairK:
     def test_torsion_detected(self):
         # both systems are valid on their own, but the stack has index 2
         h = heegaard_diagram(1, words("a1"), words("a1 b1 b1"))
-        assert h.second.curves[0].homology == (1, 2)
+        assert h.second.matrix().rows == ((1, 2),)
         with pytest.raises(NotHomologicallyStandard) as exc:
             pair_k(h)
         assert exc.value.divisors == (2,)
@@ -212,10 +212,11 @@ class TestPairKMatchesStackedReference:
 
 def _forged_gamma():
     # bypasses validation on purpose: (2,2) is Lagrangian but imprimitive
-    from trisect.diagrams import Curve, CutSystem
+    from trisect.diagrams import CutSystem
 
-    w = parse_word("a1 b1 a1 b1")
-    return CutSystem(1, (Curve(w, (2, 2)),))
+    forged = CutSystem(1, (parse_word("a1 b1 a1 b1"),))
+    assert forged.matrix().rows == ((2, 2),)
+    return forged
 
 
 class TestEulerAndHomology:
