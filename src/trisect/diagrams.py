@@ -11,8 +11,9 @@ on the algebraic data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .intmatrix import IntMatrix, _matrix, _pairing, quotient_invariants
+from .intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants
 from .words import (
     Word,
     abelianize_word,
@@ -25,6 +26,7 @@ from .words import (
 )
 
 FAMILY_NAMES = ("alpha", "beta", "gamma")
+PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
 
 
 class InvalidCutSystemError(Exception):
@@ -44,32 +46,39 @@ class InvalidCutSystemError(Exception):
         super().__init__(message if family is None else f"{family}: {message}")
 
 
-class _Keeps:
-    def _keep(self, key, compute):
-        """``compute()`` once per object and ``key``, kept outside the fields so
-        equality, hash, repr and text hold; a raise is not kept."""
-        kept = vars(self).setdefault("_kept", {})
-        if key not in kept:
-            kept[key] = compute()
-        return kept[key]
+class NotHomologicallyStandard(Exception):
+    """A Heegaard pair's curve span has torsion, so the pair cannot present
+    a connected sum of S1 x S2's."""
+
+    def __init__(self, divisors, pair_name=None):
+        self.divisors = tuple(divisors)
+        self.pair_name = pair_name
+        where = "" if pair_name is None else f" for pair {pair_name}"
+        super().__init__(f"stacked curve span has torsion {list(self.divisors)}{where}")
 
 
 @dataclass(frozen=True)
-class CutSystem(_Keeps):
+class CutSystem:
     """g cyclically reduced curve words on a genus-g surface whose homology
     span is Lagrangian and primitive.
 
-    The words are the whole of a cut system: its homology rows are derived
-    from them by :meth:`matrix`, on first use, and kept on the object.
+    The words are the whole of a cut system.  Its rows, which :meth:`matrix`
+    returns, and the values :class:`TrisectionDiagram` derives are each a
+    ``functools.cached_property``: kept in the instance ``__dict__``, outside
+    the fields, so equality, hash, repr and text hold, and not kept on a
+    raise.  Neither class may take ``slots=True``, which drops that dict.
     """
 
     genus: int
     words: tuple[Word, ...]
 
+    @cached_property
+    def _rows(self) -> IntMatrix:
+        return _matrix(tuple(abelianize_word(w, self.genus) for w in self.words), 2 * self.genus)
+
     def matrix(self) -> IntMatrix:
         """The g x 2g matrix of homology rows, one abelianized word each."""
-        g = self.genus
-        return self._keep("matrix", lambda: _matrix(tuple(abelianize_word(w, g) for w in self.words), 2 * g))
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ class HeegaardDiagram:
 
 
 @dataclass(frozen=True)
-class TrisectionDiagram(_Keeps):
+class TrisectionDiagram:
     genus: int
     alpha: CutSystem
     beta: CutSystem
@@ -94,6 +103,38 @@ class TrisectionDiagram(_Keeps):
     def families(self) -> tuple[CutSystem, CutSystem, CutSystem]:
         return (self.alpha, self.beta, self.gamma)
 
+    @cached_property
+    def _pair_matrices(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        """P_ab = <beta_i, alpha_j>, P_bg = <gamma_i, beta_j>, P_ga = <alpha_i, gamma_j>."""
+        return tuple(map(_pair_matrix, self.families(), (self.beta, self.gamma, self.alpha)))
+
+    @cached_property
+    def _k_triple(self) -> tuple[int, int, int]:
+        return tuple(map(_pair_rank, self._pair_matrices, PAIR_NAMES))
+
+    @cached_property
+    def _beta_image_smith(self) -> tuple:
+        """``(divisors, U)`` of N = [P_ab^T; P_bg], beta's pairings with alpha and gamma."""
+        p_ab, p_bg = self._pair_matrices[:2]
+        return _smith(_matrix(p_ab.transpose().rows + p_bg.rows, self.genus), with_u=True)
+
+    @cached_property
+    def _reduced_pi1(self) -> dict:  # budget -> Presentation, filled by groups.reduced_pi1
+        return {}
+
+
+def _pair_matrix(first: CutSystem, second: CutSystem) -> IntMatrix:
+    """The g x g intersection matrix M[i][j] = <second_i, first_j> of a pair."""
+    return _matrix(_pairing(second.matrix().rows, first.matrix().rows, first.genus), first.genus)
+
+
+def _pair_rank(m: IntMatrix, pair_name: str | None = None) -> int:
+    """The free rank of coker ``m``; torsion raises, naming the pair."""
+    free, torsion = quotient_invariants(m.ncols, m)
+    if torsion:
+        raise NotHomologicallyStandard(torsion, pair_name)
+    return free
+
 
 def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     """Validate curve words and build a :class:`CutSystem`.
@@ -101,7 +142,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     Checks, in order: exactly ``genus`` curves; generator indices within the
     genus; all pairwise algebraic intersection numbers zero; the homology
     span is a primitive sublattice of full rank g (all Smith divisors 1).
-    The checks read the rows the system keeps for the invariants.  This
+    The checks read the rows the system caches for the invariants.  This
     and the constructors built on it are where outside words enter; the
     moves below keep a cut system valid by construction.
     """
@@ -191,8 +232,8 @@ def handle_slide(system: CutSystem, i: int, j: int, conjugator=(), sign: int = 1
 def slide_family(d: TrisectionDiagram, family: str, i: int, j: int, conjugator=(), sign: int = 1) -> TrisectionDiagram:
     """Apply :func:`handle_slide` to one family of a trisection diagram.
 
-    The other two families are the same objects as in ``d``, so the rows
-    they keep are shared.
+    The other two families are the same objects as in ``d``, so their
+    cached rows are shared; no value cached on ``d`` itself is carried over.
     """
     slid = handle_slide(d.family(family), i, j, conjugator, sign)
     fams = (slid if name == family else s for name, s in zip(FAMILY_NAMES, d.families()))

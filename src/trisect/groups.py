@@ -384,10 +384,11 @@ def count_homs(p: Presentation, degree: int, cap: int = DEFAULT_HOM_CAP) -> int:
 def reduced_pi1(d: TrisectionDiagram, budget: int = DEFAULT_TIETZE_BUDGET) -> Presentation:
     """``tietze_simplify(pi1_presentation(d), budget)``, once per diagram object and budget.
 
-    Only results are kept on ``d``, so a negative budget raises
-    ``ValueError`` on every call.
+    Kept by budget in ``d._reduced_pi1``, a cached property; a raise is not
+    kept, so a negative budget raises ``ValueError`` on every call.
     """
-    return d._keep(("reduced_pi1", budget), lambda: tietze_simplify(pi1_presentation(d), budget))
+    kept = d._reduced_pi1
+    return kept.get(budget) or kept.setdefault(budget, tietze_simplify(pi1_presentation(d), budget))
 
 
 def diagram_hom_count(

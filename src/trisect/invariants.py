@@ -9,26 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagrams import CutSystem, HeegaardDiagram, TrisectionDiagram
-from .intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants
+from .diagrams import PAIR_NAMES, HeegaardDiagram, NotHomologicallyStandard, TrisectionDiagram, _pair_matrix, _pair_rank
+from .intmatrix import IntMatrix, _matrix, _smith
 
-PAIR_NAMES = ("alpha_beta", "beta_gamma", "gamma_alpha")
 DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; groups imports it, so the CLI shares it
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
 VERDICT_TRIVIAL_PI1 = "TrivializedPi1"
-
-
-class NotHomologicallyStandard(Exception):
-    """A Heegaard pair's curve span has torsion, so the pair cannot present
-    a connected sum of S1 x S2's."""
-
-    def __init__(self, divisors, pair_name=None):
-        self.divisors = tuple(divisors)
-        self.pair_name = pair_name
-        where = "" if pair_name is None else f" for pair {pair_name}"
-        super().__init__(f"stacked curve span has torsion {list(self.divisors)}{where}")
 
 
 def pair_k(h: HeegaardDiagram) -> int:
@@ -42,35 +30,14 @@ def pair_k(h: HeegaardDiagram) -> int:
     cut system.  Torsion-freeness is a necessary condition for the pair to
     be standard; torsion raises :class:`NotHomologicallyStandard`.
     """
-    return _pair_rank(_pair_matrix(h.first, h.second, h.genus))
-
-
-def _pair_matrix(first: CutSystem, second: CutSystem, g: int) -> IntMatrix:
-    """The g x g intersection matrix M[i][j] = <second_i, first_j> of a pair."""
-    return _matrix(_pairing(second.matrix().rows, first.matrix().rows, g), g)
-
-
-def _pair_rank(m: IntMatrix, pair_name: str | None = None) -> int:
-    """The free rank of coker ``m``; torsion raises, naming the pair."""
-    free, torsion = quotient_invariants(m.ncols, m)
-    if torsion:
-        raise NotHomologicallyStandard(torsion, pair_name)
-    return free
-
-
-def _pair_matrices(d: TrisectionDiagram) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """The three pairs' intersection matrices, kept on ``d``:
-    P_ab = <beta_i, alpha_j>, P_bg = <gamma_i, beta_j>, P_ga = <alpha_i, gamma_j>."""
-    fams = d.families()
-    return d._keep("pair_matrices", lambda: tuple(map(_pair_matrix, fams, fams[1:] + fams[:1], (d.genus,) * 3)))
+    return _pair_rank(_pair_matrix(h.first, h.second))
 
 
 def k_triple(d: TrisectionDiagram) -> tuple[int, int, int]:
-    """The pair ranks in the order (alpha_beta, beta_gamma, gamma_alpha), kept
-    on ``d``: the Smith invariants of the pairs' intersection matrices, which
-    :func:`homology` and :func:`intersection_form` share.  A diagram with a
-    non-standard pair raises on every call."""
-    return d._keep("k_triple", lambda: tuple(map(_pair_rank, _pair_matrices(d), PAIR_NAMES)))
+    """The pair ranks (alpha_beta, beta_gamma, gamma_alpha) of the pair matrices
+    that :func:`homology` and :func:`intersection_form` share; both are cached
+    on ``d``, and a raise is not, so a non-standard pair raises on every call."""
+    return d._k_triple
 
 
 def euler_characteristic(d: TrisectionDiagram) -> int:
@@ -86,25 +53,15 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     moves: then L_beta is a primitive Lagrangian, x -> (<x, beta_j>)_j maps
     Z^2g onto Z^g with kernel L_beta, and H1 is the cokernel of the images of
     L_alpha and L_gamma, the rows of the 2g x g matrix N = [P_ab^T; P_bg] of
-    two kept pair matrices (those of -alpha_i and gamma_i).  H1 is read off
-    the divisors of N's Smith form, which :func:`intersection_form` shares:
-    b1 = g - rank N.  H3 is its free part and H2 carries its torsion, with
-    free rank b2 = chi - 2 + 2*b1.
+    two of ``d``'s cached pair matrices (those of -alpha_i and gamma_i).  H1
+    is read off the divisors of N's Smith form, a cached property of ``d``
+    that :func:`intersection_form` shares: b1 = g - rank N.  H3 is its free
+    part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    divisors = _beta_image_smith(d)[0]
+    divisors = d._beta_image_smith[0]
     b1, torsion = d.genus - len(divisors), tuple(x for x in divisors if x > 1)
     b2 = euler_characteristic(d) - 2 + 2 * b1
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
-
-
-def _beta_image_smith(d: TrisectionDiagram) -> tuple:
-    """``(divisors, U)`` of N = [P_ab^T; P_bg], the images of L_alpha and
-    L_gamma under beta's pairing map, kept on ``d``."""
-    def compute():
-        p_ab, p_bg = _pair_matrices(d)[:2]
-        return _smith(_matrix(p_ab.transpose().rows + p_bg.rows, d.genus), with_u=True)
-
-    return d._keep("beta_image_smith", compute)
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
@@ -120,7 +77,7 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     so x lies in L_beta; z -> x maps K onto H2, and K has rank g + b1.  As
     L_alpha is Lagrangian, <x, y_alpha> = -<z_gamma L_gamma, y_alpha>, and
     the form pulls back to Q_K = K_gamma P_ga^T K_alpha^T, where
-    P_ga[i][j] = <alpha_i, gamma_j> is kept by :func:`k_triple`.  This needs
+    P_ga[i][j] = <alpha_i, gamma_j> is a pair matrix cached on ``d``.  This needs
     beta to be a validated cut system, which every diagram built by
     ``parse``, ``cut_system`` or the moves is.  By Poincare duality the
     form's radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
@@ -135,11 +92,11 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     non-standard pair.
     """
     g, b2 = d.genus, homology(d)[2][0]
-    n_divisors, n_u = _beta_image_smith(d)
+    n_divisors, n_u = d._beta_image_smith
     kern = n_u.rows[len(n_divisors) :]
     k_alpha = _matrix(tuple(z[:g] for z in kern), g)
     k_gamma = _matrix(tuple(z[g:] for z in kern), g)
-    qk = k_gamma @ (_pair_matrices(d)[2].transpose() @ k_alpha.transpose())
+    qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
     divisors, u = _smith(qk, with_u=True)

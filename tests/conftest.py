@@ -4,7 +4,18 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from trisect import connected_sum, parse, slide_family, stabilize, standard_diagram
+from trisect import (
+    InvalidCutSystemError,
+    NotHomologicallyStandard,
+    TrisectionDiagram,
+    connected_sum,
+    cut_system,
+    k_triple,
+    parse,
+    slide_family,
+    stabilize,
+    standard_diagram,
+)
 from trisect.diagrams import FAMILY_NAMES
 from trisect.words import token_code
 
@@ -68,6 +79,52 @@ def moved_diagrams(draw, max_moves: int = 8, torsion: bool = False):
 @pytest.fixture
 def move_engine():
     return random_move_sequence
+
+
+def raw_word(rng: random.Random, genus: int, length: int):
+    """``length`` random codes on the genus-``genus`` generators; a code that
+    cancels the one before it is drawn again."""
+    word = []
+    while len(word) < length:
+        code = rng.choice((1, -1)) * rng.randint(1, 2 * genus)
+        if not word or code != -word[-1]:
+            word.append(code)
+    return tuple(word)
+
+
+def raw_cut_system(rng: random.Random, genus: int, max_len: int):
+    """The first of up to 2,000 draws of ``genus`` raw words, each of length
+    1..``max_len``, that ``cut_system`` accepts."""
+    for _ in range(2000):
+        try:
+            return cut_system([raw_word(rng, genus, rng.randint(1, max_len)) for _ in range(genus)], genus)
+        except InvalidCutSystemError:
+            pass
+    raise AssertionError(f"no genus-{genus} cut system in 2,000 draws")
+
+
+def raw_diagrams():
+    """A seeded sweep of diagrams built from raw curve words, off the orbit of
+    the library under moves: three raw cut systems per diagram, kept when no
+    pair raises ``NotHomologicallyStandard``."""
+    rng = random.Random(7)
+    out = []
+    for genus, max_len, count in ((1, 4, 150), (2, 4, 150), (3, 3, 100)):  # (g, max word length, diagrams)
+        found = 0
+        while found < count:
+            d = TrisectionDiagram(genus, *(raw_cut_system(rng, genus, max_len) for _ in FAMILY_NAMES))
+            try:
+                k_triple(d)
+            except NotHomologicallyStandard:
+                continue
+            out.append(d)
+            found += 1
+    return out
+
+
+@pytest.fixture(scope="session")
+def raw_population():
+    return raw_diagrams()
 
 
 def determinant(m) -> int:

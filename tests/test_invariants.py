@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trisect.diagrams as diagrams_module
 import trisect.groups as groups
 import trisect.intmatrix as intmatrix_module
 import trisect.invariants as invariants_module
@@ -76,12 +78,12 @@ class TestPairK:
         assert exc.value.pair_name == "beta_gamma"
 
     def test_k_triple_computed_once_per_diagram(self, monkeypatch):
-        # the three pair matrices are built once and kept on the diagram;
+        # the three pair matrices are built once and cached on the diagram;
         # homology and the form read them and build no pairing of their own
         d = connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3"))
         calls = []
-        real = invariants_module._pairing
-        monkeypatch.setattr(invariants_module, "_pairing", lambda *args: calls.append(args) or real(*args))
+        real = diagrams_module._pairing
+        monkeypatch.setattr(diagrams_module, "_pairing", lambda *args: calls.append(args) or real(*args))
         assert k_triple(d) == (1, 1, 1)
         assert k_triple(d) == (1, 1, 1)
         assert euler_characteristic(d) == 1
@@ -92,17 +94,18 @@ class TestPairK:
 
     def test_curve_smith_form_computed_once_per_diagram(self, monkeypatch):
         # homology and intersection_form share one Smith form of the 2g x g
-        # matrix N of beta's pairings, kept on the diagram; no 3g x 2g
+        # matrix N of beta's pairings, cached on the diagram; no 3g x 2g
         # stacked curve matrix is reduced
         d = parse((FIXTURES / "cp2_sum_cp2bar.tri").read_text())
         shapes = []
-        real = invariants_module._smith
+        real = intmatrix_module._smith
 
         def counted(m, **kw):
             shapes.append((m.nrows, m.ncols))
             return real(m, **kw)
 
-        monkeypatch.setattr(invariants_module, "_smith", counted)
+        for module in (diagrams_module, invariants_module):  # N's Smith form, then Q_K's
+            monkeypatch.setattr(module, "_smith", counted)
         first = homology(d)
         intersection_form(d)
         assert homology(d) == first
@@ -118,14 +121,35 @@ class TestPairK:
             assert exc.value.divisors == (2,)
 
     def test_k_triple_leaves_equality_hash_and_text(self):
+        # every cached value is filled before the comparison with a twin that
+        # has cached nothing past validation
         summed = connected_sum(standard_diagram("CP2"), standard_diagram("S2xS2"))
         text = serialize(slide_family(summed, "beta", 0, 2))
         d, twin = parse(text), parse(text)
         before = (hash(d), repr(d), serialize(d))
+        for s in d.families():
+            s.matrix()
         k_triple(d)
+        homology(d)
+        intersection_form(d)
+        groups.reduced_pi1(d, 0)
+        groups.reduced_pi1(d)
+        assert {"_pair_matrices", "_k_triple", "_beta_image_smith", "_reduced_pi1"} <= set(vars(d))
+        assert len(d._reduced_pi1) == 2
         assert d == twin and twin == d
         assert (hash(d), repr(d), serialize(d)) == before
-        assert hash(d) == hash(twin) and serialize(d) == text
+        assert hash(d) == hash(twin) and repr(d) == repr(twin) and serialize(d) == text
+        for s in d.families():
+            fresh = type(s)(s.genus, s.words)
+            assert "_rows" in vars(s) and "_rows" not in vars(fresh)
+            assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+        # dataclasses.replace builds a new object, so a k_triple cached on a
+        # diagram does not answer for its copy with a forged gamma
+        cp2 = parse((FIXTURES / "cp2.tri").read_text())
+        assert k_triple(cp2) == (0, 0, 0)
+        with pytest.raises(NotHomologicallyStandard) as exc:
+            k_triple(dataclasses.replace(cp2, gamma=_forged_gamma()))
+        assert exc.value.pair_name == "beta_gamma"
 
 
 def reference_pair_k(h):
@@ -379,6 +403,17 @@ class TestFormReference:
             assert form_invariants(q) == form_invariants(stacked_kernel_form(d))
 
 
+def test_raw_population_caches_agree_in_either_order_and_h1_is_abelianized_pi1(raw_population):
+    # twins parsed from one text fill their cached values in opposite orders
+    for d in raw_population:
+        text = serialize(d)
+        forward, backward = parse(text), parse(text)
+        got = (k_triple(forward), homology(forward), intersection_form(forward))
+        q, h, k = intersection_form(backward), homology(backward), k_triple(backward)
+        assert got == (k, h, q), text
+        assert groups.abelianize_presentation(groups.pi1_presentation(d)) == h[1], text
+
+
 class TestFormRuntimeChecks:
     # each runtime check of intersection_form refuses a forged pairing or b2
     def slid_sum(self):
@@ -387,14 +422,16 @@ class TestFormRuntimeChecks:
 
     # each test takes k_triple before it installs its forgery, so the forged
     # pair matrices reach homology and the form and not the pair ranks,
-    # which share them
+    # which share them; N's Smith form is not cached yet, so it is taken
+    # from the forged matrices
 
     def forge(self, monkeypatch, d, edit):
         k_triple(d)
-        kept = [[list(row) for row in m.rows] for m in invariants_module._pair_matrices(d)]
+        assert "_beta_image_smith" not in vars(d)
+        kept = [[list(row) for row in m.rows] for m in d._pair_matrices]
         edit(kept)
         forged = tuple(IntMatrix(rows, d.genus) for rows in kept)
-        monkeypatch.setattr(invariants_module, "_pair_matrices", lambda _: forged)
+        monkeypatch.setitem(vars(d), "_pair_matrices", forged)
 
     def test_unimodularity(self, monkeypatch):
         # every intersection number doubled

@@ -28,14 +28,10 @@ def stacked_homology(d):
 
 
 def _stacked_curve_smith(d):
-    """``(divisors, U)`` of the stacked curve matrix [L_beta; L_alpha; L_gamma],
-    kept on ``d``."""
-    return d._keep(
-        "curve_smith",
-        lambda: _smith(
-            _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus),
-            with_u=True,
-        ),
+    """``(divisors, U)`` of the stacked curve matrix [L_beta; L_alpha; L_gamma]."""
+    return _smith(
+        _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus),
+        with_u=True,
     )
 
 
