@@ -42,6 +42,7 @@ from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
     PoincareReport,
+    diagram_form_invariants,
     euler_characteristic,
     form_invariants,
     homology,

@@ -34,8 +34,8 @@ from .groups import (
 from .invariants import (
     NotHomologicallyStandard,
     PAIR_NAMES,
+    diagram_form_invariants,
     euler_characteristic,
-    form_invariants,
     homology,
     intersection_form,
     k_triple,
@@ -83,7 +83,7 @@ def _cmd_invariants(args) -> int:
     print(f"euler: {euler_characteristic(d)}")
     for i, (rank, torsion) in enumerate(homology(d)):
         print(f"H{i}: {format_abelian(rank, torsion)}")
-    form = form_invariants(intersection_form(d))
+    form = diagram_form_invariants(d)
     print(f"form_rank: {form.rank}")
     print(f"form_signature: {form.signature}")
     print(f"form_parity: {form.parity}")

@@ -63,7 +63,8 @@ class CutSystem:
     span is Lagrangian and primitive.
 
     The words are the whole of a cut system.  Its rows, which :meth:`matrix`
-    returns, and the values :class:`TrisectionDiagram` derives are each a
+    returns, their nonzero entries, which the pairings read, and the values
+    :class:`TrisectionDiagram` derives are each a
     ``functools.cached_property``: kept in the instance ``__dict__``, outside
     the fields, so equality, hash, repr and text hold, and not kept on a
     raise.  Neither class may take ``slots=True``, which drops that dict.
@@ -75,6 +76,11 @@ class CutSystem:
     @cached_property
     def _rows(self) -> IntMatrix:
         return _matrix(tuple(abelianize_word(w, self.genus) for w in self.words), 2 * self.genus)
+
+    @cached_property
+    def _nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero entries as ``(coordinate, value)`` pairs."""
+        return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in self._rows.rows)
 
     def matrix(self) -> IntMatrix:
         """The g x 2g matrix of homology rows, one abelianized word each."""
@@ -125,7 +131,7 @@ class TrisectionDiagram:
 
 def _pair_matrix(first: CutSystem, second: CutSystem) -> IntMatrix:
     """The g x g intersection matrix M[i][j] = <second_i, first_j> of a pair."""
-    return _matrix(_pairing(second.matrix().rows, first.matrix().rows, first.genus), first.genus)
+    return _matrix(_pairing(second._nonzeros, first._nonzeros, first.genus), first.genus)
 
 
 def _pair_rank(m: IntMatrix, pair_name: str | None = None) -> int:
@@ -142,9 +148,9 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     Checks, in order: exactly ``genus`` curves; generator indices within the
     genus; all pairwise algebraic intersection numbers zero; the homology
     span is a primitive sublattice of full rank g (all Smith divisors 1).
-    The checks read the rows the system caches for the invariants.  This
-    and the constructors built on it are where outside words enter; the
-    moves below keep a cut system valid by construction.
+    The checks read the rows, and their nonzeros, that the system caches for
+    the invariants.  This and the constructors built on it are where outside
+    words enter; the moves below keep a cut system valid by construction.
     """
     words = tuple(cyclic_reduce(w) for w in word_seq)
     if len(words) != genus:
@@ -159,7 +165,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                 family=family,
             )
     system = CutSystem(genus, words)
-    rows = system.matrix().rows
+    rows = system._nonzeros
     gram = _pairing(rows[:-1], rows, genus)  # the last row has no pair above the diagonal
     for i in range(genus):
         for j in range(i + 1, genus):

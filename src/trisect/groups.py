@@ -21,10 +21,10 @@ from itertools import chain, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, quotient_invariants
-from .invariants import DEFAULT_TIETZE_BUDGET, k_triple
 from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_HOM_CAP = 10_000_000
+DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; invariants and the CLI share it
 
 
 class EnumerationRefused(Exception):
@@ -481,7 +481,7 @@ def build_cube(d: TrisectionDiagram) -> GroupTrisectionCube:
     generator to the same-named generator.  Requires all three Heegaard
     pairs to be homologically standard.
     """
-    k_triple(d)  # raises NotHomologicallyStandard if a pair has torsion
+    d._k_triple  # raises NotHomologicallyStandard if a pair has torsion
     quotient = _surface_quotients(d)
     vertices = {name: quotient(*families) for name, families in _VERTEX_FAMILIES.items()}
     identity = _identity_images(2 * d.genus)

@@ -7,15 +7,16 @@ exactness and deterministic output over asymptotics.  One Smith routine,
 the callers that use the left transform U it carries U as an identity
 block appended to the working rows.  Matrices built here skip the public
 constructor's coercion and shape checks through ``_matrix``.  Callers'
-matrices are mostly zeros, so products, the pairing product ``_pairing``
-and the Smith routine's column operations skip zero entries; its row
-operations add whole rows with C-level ``map``s.  Its column operations
-skip the finished rows above the pivot, and a +-1 pivot ends its step
-after the row sweep: that sweep leaves its column e_t, so the column phase
-would only clear the pivot's row, which no later step reads.  Pivots,
-quotients and row operations are those of the dense elimination, and
-nothing but row operations reaches the identity block, so the results, U
-included, are the dense ones.
+matrices are mostly zeros, so products and the Smith routine's column
+operations skip zero entries, and the pairing product ``_pairing`` takes
+rows as their nonzero entries and adds up only nonzero products.  The
+Smith routine's row operations add whole rows with C-level ``map``s.  Its
+column operations skip the finished rows above the pivot, and a +-1 pivot
+ends its step after the row sweep: that sweep leaves its column e_t, so
+the column phase would only clear the pivot's row, which no later step
+reads.  Pivots, quotients and row operations are those of the dense
+elimination, and nothing but row operations reaches the identity block,
+so the results, U included, are the dense ones.
 """
 
 from __future__ import annotations
@@ -92,11 +93,28 @@ def _combine(coeffs, rows, ncols: int) -> tuple[int, ...]:
 
 
 def _pairing(a_rows, b_rows, genus: int) -> tuple[tuple[int, ...], ...]:
-    """A J B^T for rows of length 2*genus: entry (i, j) is
-    ``symplectic_pairing(a_rows[i], b_rows[j], genus)``."""
-    cols = tuple(zip(*b_rows))
-    jbt = cols[genus:] + tuple(tuple(map(neg, c)) for c in cols[:genus])
-    return tuple(_combine(a, jbt, len(b_rows)) for a in a_rows)
+    """A J B^T as dense int tuples, for rows of length 2*genus given as their
+    nonzero ``(coordinate, value)`` pairs: entry (i, j) is the symplectic
+    pairing of row i of ``a_rows`` with row j of ``b_rows``.
+
+    ``partners[k]`` lists the entries of B that coordinate k of A pairs
+    with: k with k + genus at sign +, k + genus with k at sign -."""
+    partners = [[] for _ in range(2 * genus)]
+    for j, row in enumerate(b_rows):
+        for k, v in row:
+            if k < genus:
+                partners[k + genus].append((j, -v))
+            else:
+                partners[k - genus].append((j, v))
+    n = len(b_rows)
+    out = []
+    for row in a_rows:
+        acc = [0] * n
+        for k, x in row:
+            for j, v in partners[k]:
+                acc[j] += x * v
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:

@@ -10,9 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .diagrams import PAIR_NAMES, HeegaardDiagram, NotHomologicallyStandard, TrisectionDiagram, _pair_matrix, _pair_rank
+from .groups import DEFAULT_TIETZE_BUDGET, reduced_pi1
 from .intmatrix import IntMatrix, _matrix, _smith
-
-DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; groups imports it, so the CLI shares it
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
@@ -64,6 +63,23 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
 
+def _kernel_form(d: TrisectionDiagram, with_u: bool = False) -> tuple:
+    """``(Q_K, divisors, U)``: Q_K checked symmetric, and its Smith form
+    checked unimodular of rank b2, U only ``with_u``; see :func:`intersection_form`."""
+    g, b2 = d.genus, homology(d)[2][0]
+    n_divisors, n_u = d._beta_image_smith
+    kern = n_u.rows[len(n_divisors) :]
+    k_alpha = _matrix(tuple(z[:g] for z in kern), g)
+    k_gamma = _matrix(tuple(z[g:] for z in kern), g)
+    qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
+    if qk != qk.transpose():
+        raise ArithmeticError("intersection pairing is not symmetric on this diagram")
+    divisors, u = _smith(qk, with_u=with_u)
+    if len(divisors) != b2 or any(x != 1 for x in divisors):
+        raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
+    return qk, divisors, u
+
+
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     """Gram matrix of the intersection pairing on a basis of H2 / Tors.
 
@@ -88,22 +104,24 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     the rank span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the
     first rows of U, has Q_K's Smith divisors: it is unimodular of size b2
     iff they are b2 ones.  The Gram matrix is a deterministic function of
-    the diagram; only its congruence class is an invariant.  Refuses a
-    non-standard pair.
+    the diagram; only its congruence class is an invariant, and
+    :func:`diagram_form_invariants` reads that class's rank, signature and
+    parity off Q_K itself.  Refuses a non-standard pair.
     """
-    g, b2 = d.genus, homology(d)[2][0]
-    n_divisors, n_u = d._beta_image_smith
-    kern = n_u.rows[len(n_divisors) :]
-    k_alpha = _matrix(tuple(z[:g] for z in kern), g)
-    k_gamma = _matrix(tuple(z[g:] for z in kern), g)
-    qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
-    if qk != qk.transpose():
-        raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    divisors, u = _smith(qk, with_u=True)
-    if len(divisors) != b2 or any(x != 1 for x in divisors):
-        raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
-    basis = _matrix(u.rows[: len(divisors)], len(kern))
+    qk, divisors, u = _kernel_form(d, with_u=True)
+    basis = _matrix(u.rows[: len(divisors)], qk.nrows)
     return basis @ (qk @ basis.transpose())
+
+
+def diagram_form_invariants(d: TrisectionDiagram) -> FormInvariants:
+    """``form_invariants(intersection_form(d))``, read off Q_K itself.
+
+    U Q_K U^T = q ⊕ 0 with U unimodular (see :func:`intersection_form`), so
+    Q_K is congruent to the form plus zeros, which add nothing to the rank
+    and signature and keep the parity.  The same checks run, on Q_K's
+    divisors alone: no U and no Gram matrix is built.
+    """
+    return form_invariants(_kernel_form(d)[0])
 
 
 @dataclass(frozen=True)
@@ -183,8 +201,6 @@ def poincare_candidate_check(d: TrisectionDiagram, tietze_budget: int = DEFAULT_
     :func:`~trisect.groups.reduced_pi1`, which hom counts on the same
     diagram object share.
     """
-    from .groups import reduced_pi1
-
     try:
         matches = homology(d) == _S4_HOMOLOGY
     except NotHomologicallyStandard:

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import trisect.cli as cli
 import trisect.groups as groups
-from conftest import FIXTURES
+import trisect.invariants as invariants
+from conftest import FIXTURES, moved_diagrams
 from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, standard_diagram
+from trisect.invariants import form_invariants, intersection_form
 from trisect.textio import serialize
 from trisect.words import token_code
 
@@ -78,15 +80,41 @@ def test_parser_built_once_keeps_no_state(capsys):
 
 def test_form_check_failure_is_one_line_error(monkeypatch, capsys):
     # the runtime check of the intersection form ends in exit 1 and one
-    # error line, like any other check failure
-    def failing(d):
-        raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
-
-    monkeypatch.setattr(cli, "intersection_form", failing)
+    # error line, like any other check failure: b2 off by one fails the
+    # unimodularity check that both commands' routes share
+    real = invariants.euler_characteristic
+    monkeypatch.setattr(invariants, "euler_characteristic", lambda d: real(d) + 1)
     for command in ("invariants", "form"):
         assert cli.main([command, str(FIXTURES / "cp2.tri")]) == 1
         err = capsys.readouterr().err
         assert err == "error: intersection form is not unimodular of rank b2 on this diagram\n"
+
+
+def invariants_form_lines(d):
+    """The three form lines of ``trisect invariants`` on ``d``'s text."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(serialize(d))), contextlib.redirect_stdout(out):
+        assert cli.main(["invariants", "-"]) == 0
+    return [line for line in out.getvalue().splitlines() if line.startswith("form_")]
+
+
+def gram_form_lines(d):
+    """The same lines read off the Gram matrix that ``trisect form`` prints."""
+    form = form_invariants(intersection_form(d))
+    return [f"form_rank: {form.rank}", f"form_signature: {form.signature}", f"form_parity: {form.parity}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_diagrams(torsion=True))
+def test_invariants_form_lines_match_gram_matrix_on_moved(d):
+    # the report reads rank, signature and parity off Q_K; they are the Gram
+    # matrix's, which Q_K is congruent to plus zeros
+    assert invariants_form_lines(d) == gram_form_lines(d)
+
+
+def test_invariants_form_lines_match_gram_matrix_on_raw(raw_population):
+    for d in raw_population:
+        assert invariants_form_lines(d) == gram_form_lines(d), serialize(d)
 
 
 def ladder_diagram(genus, seed):

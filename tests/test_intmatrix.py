@@ -327,12 +327,26 @@ def pairing_operands(draw, max_genus=4, max_rows=5):
     return genus, tuple(map(tuple, a_rows)), tuple(map(tuple, b_rows))
 
 
+def nonzeros(rows):
+    """Each row's nonzero entries as ``(coordinate, value)`` pairs, the form
+    ``_pairing`` takes."""
+    return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in rows)
+
+
+# genus 0, empty row sets on either side, and entries other than +-1
+@example((0, (), ()))
+@example((0, ((),), ((), ())))
+@example((2, (), ((1, 0, 0, 1),)))
+@example((2, ((3, 0, -1, 0),), ()))
+@example((2, ((3, 0, -1, 0), (0, 0, 0, 0)), ((0, 2, 5, 0), (-7, 0, 0, 10**30))))
 @settings(max_examples=200)
 @given(pairing_operands())
 def test_pairing_matches_symplectic_pairing(case):
     genus, a_rows, b_rows = case
     expected = tuple(tuple(symplectic_pairing(u, v, genus) for v in b_rows) for u in a_rows)
-    assert _pairing(a_rows, b_rows, genus) == expected
+    got = _pairing(nonzeros(a_rows), nonzeros(b_rows), genus)
+    assert got == expected
+    assert all(type(x) is int for row in got for x in row)
 
 
 def reference_smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:

@@ -1,10 +1,15 @@
+import ast
 import dataclasses
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trisect.cli as cli
 import trisect.diagrams as diagrams_module
 import trisect.groups as groups
 import trisect.intmatrix as intmatrix_module
@@ -28,6 +33,7 @@ from trisect.invariants import (
     NotHomologicallyStandard,
     VERDICT_NOT_SPHERE,
     VERDICT_TRIVIAL_PI1,
+    diagram_form_invariants,
     euler_characteristic,
     form_invariants,
     homology,
@@ -433,7 +439,21 @@ class TestFormRuntimeChecks:
         forged = tuple(IntMatrix(rows, d.genus) for rows in kept)
         monkeypatch.setitem(vars(d), "_pair_matrices", forged)
 
-    def test_unimodularity(self, monkeypatch):
+    def assert_refused(self, monkeypatch, capsys, d, match):
+        # the form's route and the invariants report's route through Q_K
+        # both refuse, and so does the CLI, with exit 1 and one error line
+        messages = set()
+        for route in (intersection_form, diagram_form_invariants):
+            with pytest.raises(ArithmeticError, match=match) as exc:
+                route(d)
+            messages.add(str(exc.value))
+        (message,) = messages
+        monkeypatch.setattr(cli, "_read_trisection", lambda path: d)
+        for command in ("invariants", "form"):
+            assert cli.main([command, "forged.tri"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unimodularity(self, monkeypatch, capsys):
         # every intersection number doubled
         d = self.slid_sum()
 
@@ -443,16 +463,14 @@ class TestFormRuntimeChecks:
                     row[:] = [2 * x for x in row]
 
         self.forge(monkeypatch, d, double)
-        with pytest.raises(ArithmeticError, match="not unimodular"):
-            intersection_form(d)
+        self.assert_refused(monkeypatch, capsys, d, "not unimodular")
 
-    def test_rank_b2(self, monkeypatch):
+    def test_rank_b2(self, monkeypatch, capsys):
         real = invariants_module.euler_characteristic
         monkeypatch.setattr(invariants_module, "euler_characteristic", lambda d: real(d) + 1)
-        with pytest.raises(ArithmeticError, match="rank b2"):
-            intersection_form(self.slid_sum())
+        self.assert_refused(monkeypatch, capsys, self.slid_sum(), "rank b2")
 
-    def test_symmetry(self, monkeypatch):
+    def test_symmetry(self, monkeypatch, capsys):
         # <beta_1, alpha_1> raised by one in P_ab, so beta's pairing map no
         # longer kills every lift the kernel of N gives
         d = self.slid_sum()
@@ -461,8 +479,7 @@ class TestFormRuntimeChecks:
             kept[0][0][0] += 1
 
         self.forge(monkeypatch, d, bump)
-        with pytest.raises(ArithmeticError, match="not symmetric"):
-            intersection_form(d)
+        self.assert_refused(monkeypatch, capsys, d, "not symmetric")
 
 
 class TestFormInvariants:
@@ -691,3 +708,18 @@ class TestPoincare:
         report = poincare_candidate_check(bad)
         assert not report.homology_matches_s4
         assert report.verdict == VERDICT_NOT_SPHERE
+
+
+@pytest.mark.parametrize("first", ["trisect.invariants", "trisect.groups"])
+def test_each_module_imports_first_in_a_fresh_interpreter(first):
+    code = f"import {first}; from trisect.invariants import DEFAULT_TIETZE_BUDGET, poincare_candidate_check"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_groups_imports_nothing_from_invariants():
+    # the Tietze budget lives with Tietze, and build_cube reads the cached
+    # k-triple, so invariants imports groups and not the other way round
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "invariants" not in sources and "trisect.invariants" not in sources
+    assert invariants_module.DEFAULT_TIETZE_BUDGET is groups.DEFAULT_TIETZE_BUDGET

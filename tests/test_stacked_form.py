@@ -1,11 +1,13 @@
 """Differential tests: homology and the form read off N = [P_ab^T; P_bg]
 against the earlier computation on the 3g x 2g stacked curve matrix.
 
-``stacked_homology`` and ``stacked_intersection_form`` are verbatim copies
-of the stacked code that the package used before, kept here as the
-reference.  Homology and the form's invariants must agree on every
-diagram; the Gram matrix may differ (the kernel basis is another one), so
-it is checked to be a symmetric unimodular matrix of size b2.
+``stacked_homology`` and ``stacked_intersection_form`` are copies of the
+stacked code that the package used before, kept here as the reference;
+the reference pairs curve rows through ``symplectic_pairing``, so it shares
+no code with the package's pairing.  Homology and the form's invariants
+must agree on every diagram; the Gram matrix may differ (the kernel basis
+is another one), so it is checked to be a symmetric unimodular matrix of
+size b2.
 """
 
 import random
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 
 from conftest import FIXTURES, LIBRARY_BUILDERS, determinant, moved_diagrams
 from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, stabilize
-from trisect.intmatrix import _matrix, _pairing, _smith
+from trisect.intmatrix import _matrix, _smith, symplectic_pairing
 from trisect.invariants import euler_characteristic, form_invariants, homology, intersection_form
 from trisect.textio import parse
 from trisect.words import token_code
@@ -43,7 +45,7 @@ def stacked_intersection_form(d):
     curve_divisors, curve_u = _stacked_curve_smith(d)
     kern = curve_u.rows[len(curve_divisors) :]
     betas, alphas = d.beta.matrix().rows, d.alpha.matrix().rows
-    m = _matrix(_pairing(alphas, betas, g), g).transpose()  # -<beta_i, alpha_j> = <alpha_j, beta_i>
+    m = _matrix(tuple(tuple(-symplectic_pairing(b, a, g) for a in alphas) for b in betas), g)  # -<beta_i, alpha_j>
     k_beta = _matrix(tuple(z[:g] for z in kern), g)
     k_alpha = _matrix(tuple(z[g : 2 * g] for z in kern), g)
     qk = k_beta @ (m @ k_alpha.transpose())  # the sparse factor on the left of each product
