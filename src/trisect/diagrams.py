@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants
+from .intmatrix import IntMatrix, _matrix, _pairing, _smith, _smith_divisors, quotient_invariants
 from .words import (
     Word,
-    abelianize_word,
+    _block_letters,
     cyclic_reduce,
     invert_word,
     max_index,
@@ -62,25 +62,45 @@ class CutSystem:
     """g cyclically reduced curve words on a genus-g surface whose homology
     span is Lagrangian and primitive.
 
-    The words are the whole of a cut system.  Its rows, which :meth:`matrix`
-    returns, their nonzero entries, which the pairings read, and the values
-    :class:`TrisectionDiagram` derives are each a
+    The words are the whole of a cut system.  The nonzero entries of its
+    homology rows, which validation, the pairings and the divisor routine
+    read, the dense rows that :meth:`matrix` alone builds from them, and the
+    values :class:`TrisectionDiagram` derives are each a
     ``functools.cached_property``: kept in the instance ``__dict__``, outside
     the fields, so equality, hash, repr and text hold, and not kept on a
     raise.  Neither class may take ``slots=True``, which drops that dict.
+    A word with a token past the genus raises ``ValueError`` when its rows
+    are first read.
     """
 
     genus: int
     words: tuple[Word, ...]
 
     @cached_property
-    def _rows(self) -> IntMatrix:
-        return _matrix(tuple(abelianize_word(w, self.genus) for w in self.words), 2 * self.genus)
+    def _nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero entries as ``(coordinate, value)`` pairs, in
+        coordinate order: a word's exponent sums, read off its letters through
+        the genus's signed table (code -> +-(coordinate + 1))."""
+        letters = _block_letters(self.genus)
+        rows = []
+        for w in self.words:
+            sums = {}
+            try:
+                for b in map(letters.__getitem__, w):
+                    if b > 0:
+                        sums[b] = sums.get(b, 0) + 1
+                    else:
+                        sums[-b] = sums.get(-b, 0) - 1
+            except KeyError:
+                raise ValueError(f"token index {max_index(w)} exceeds genus {self.genus}") from None
+            rows.append(tuple(sorted((b - 1, x) for b, x in sums.items() if x)))
+        return tuple(rows)
 
     @cached_property
-    def _nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero entries as ``(coordinate, value)`` pairs."""
-        return tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in self._rows.rows)
+    def _rows(self) -> IntMatrix:
+        width = 2 * self.genus
+        rows = (tuple(row.get(k, 0) for k in range(width)) for row in map(dict, self._nonzeros))
+        return _matrix(tuple(rows), width)
 
     def matrix(self) -> IntMatrix:
         """The g x 2g matrix of homology rows, one abelianized word each."""
@@ -146,26 +166,24 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
     """Validate curve words and build a :class:`CutSystem`.
 
     Checks, in order: exactly ``genus`` curves; generator indices within the
-    genus; all pairwise algebraic intersection numbers zero; the homology
-    span is a primitive sublattice of full rank g (all Smith divisors 1).
-    The checks read the rows, and their nonzeros, that the system caches for
-    the invariants.  This and the constructors built on it are where outside
-    words enter; the moves below keep a cut system valid by construction.
+    genus (reading the rows' nonzeros off the letter table names the first
+    word with a letter past it, by its largest index); all pairwise
+    algebraic intersection numbers zero; the homology span is a primitive
+    sublattice of full rank g (all Smith divisors 1).  The checks read the
+    nonzeros that the system caches for the invariants.  This and the
+    constructors built on it are where outside words enter; the moves below
+    keep a cut system valid by construction.
     """
     words = tuple(cyclic_reduce(w) for w in word_seq)
     if len(words) != genus:
         raise InvalidCutSystemError(
             "count", f"expected {genus} curves, got {len(words)}", family=family
         )
-    for w in words:
-        if max_index(w) > genus:
-            raise InvalidCutSystemError(
-                "index",
-                f"token index {max_index(w)} exceeds genus {genus}",
-                family=family,
-            )
     system = CutSystem(genus, words)
-    rows = system._nonzeros
+    try:
+        rows = system._nonzeros
+    except ValueError as exc:
+        raise InvalidCutSystemError("index", str(exc), family=family) from None
     gram = _pairing(rows[:-1], rows, genus)  # the last row has no pair above the diagonal
     for i in range(genus):
         for j in range(i + 1, genus):
@@ -178,7 +196,8 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                     pair=(i + 1, j + 1),
                     value=val,
                 )
-    free, torsion = quotient_invariants(2 * genus, system.matrix())
+    divisors = _smith_divisors(rows)
+    free, torsion = 2 * genus - len(divisors), tuple(x for x in divisors if x > 1)
     if free != genus or torsion:
         raise InvalidCutSystemError(
             "imprimitive",

@@ -21,7 +21,7 @@ from itertools import chain, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import IntMatrix, _matrix, quotient_invariants
-from .words import Word, block_index, cyclic_reduce, free_reduce, invert_word
+from .words import Word, _block_letters, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_HOM_CAP = 10_000_000
 DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; invariants and the CLI share it
@@ -112,16 +112,6 @@ def _surface_relator(genus: int) -> Word:
     for i in range(1, genus + 1):
         rel += [i, genus + i, -i, -(genus + i)]
     return tuple(rel)
-
-
-# bounded, so a long-lived process does not keep a table for every genus it saw
-@lru_cache(maxsize=64)
-def _block_letters(genus: int) -> dict[int, int]:
-    """Each token code of genus ``genus``, signed, to its signed block index.
-
-    The one dict is shared by every caller, which only reads it.
-    """
-    return {s * c: s * block_index(c, genus) for c in range(1, 2 * genus + 1) for s in (1, -1)}
 
 
 def _curve_relator(word: Word, genus: int) -> Word:

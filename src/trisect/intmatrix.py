@@ -2,15 +2,20 @@
 
 Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
 here are small (a few dozen rows at most), and the algorithms favour
-exactness and deterministic output over asymptotics.  One Smith routine,
-``_smith``, serves every caller: it returns the Smith divisors, and for
-the callers that use the left transform U it carries U as an identity
-block appended to the working rows.  Matrices built here skip the public
+exactness and deterministic output over asymptotics.  There are two Smith
+routines.  ``_smith_divisors`` is sparse and divisor-only: it takes each
+row's nonzero ``(column, value)`` pairs, as cut systems keep them and
+``_sparse_rows`` reads them off a dense matrix, and serves every caller
+that needs invariant factors alone (cut-system validation, pair ranks,
+Q_K's unimodularity check, :func:`quotient_invariants`).  ``_smith`` is
+dense: it serves the callers that use the left transform U, which it
+carries as an identity block appended to the working rows, and the
+divisor routine's rare remainder.  Matrices built here skip the public
 constructor's coercion and shape checks through ``_matrix``.  Callers'
-matrices are mostly zeros, so products and the Smith routine's column
+matrices are mostly zeros, so products and the dense routine's column
 operations skip zero entries, and the pairing product ``_pairing`` takes
 rows as their nonzero entries and adds up only nonzero products.  The
-Smith routine's row operations add whole rows with C-level ``map``s.  Its
+dense routine's row operations add whole rows with C-level ``map``s.  Its
 column operations skip the finished rows above the pivot, and a +-1 pivot
 ends its step after the row sweep: that sweep leaves its column e_t, so
 the column phase would only clear the pivot's row, which no later step
@@ -22,6 +27,7 @@ so the results, U included, are the dense ones.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from operator import add, neg, sub
 
 
@@ -201,11 +207,69 @@ def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
     return tuple(d[i][i] for i in range(t)), (_matrix(tuple(tuple(r[n:]) for r in d), m) if with_u else None)
 
 
+def _sparse_rows(mat: IntMatrix):
+    """The rows of ``mat`` as iterators of their nonzero ``(column, value)`` pairs."""
+    return (compress(enumerate(row), row) for row in mat.rows)
+
+
+def _smith_divisors(rows) -> tuple[int, ...]:
+    """``_smith(mat)[0]`` for the matrix whose rows are given as their
+    nonzero ``(column, value)`` pairs, with no U.
+
+    Divisors are invariants, so the pivot order is free.  A row with a +-1
+    entry is a pivot: subtracting multiples of it clears that entry's
+    column from the other rows, after which the pivot splits off as a
+    divisor 1 (column operations would clear the rest of its row and touch
+    no other), so its row is dropped.  Rows are dicts from column to
+    nonzero value, so a pivot's arithmetic touches only the entries of the
+    rows that hold its column, and a row left empty is dropped too.  What remains once no
+    row holds a unit, rarely anything, goes to :func:`_smith` densified on
+    the columns it uses; 1 divides each of its divisors.  Unit pivots on
+    sparse rows are the usual cheap route to Smith divisors (Dumas,
+    Saunders and Villard, J. Symb. Comput. 32, 2001).
+    """
+    work = [row for row in map(dict, rows) if row]
+    units = 0
+    while work:
+        # the first row holding a unit entry: sign at column col
+        for i, pivot in enumerate(work):
+            for col, sign in pivot.items():
+                if sign == 1 or sign == -1:
+                    break
+            else:
+                continue
+            break
+        else:
+            break
+        del work[i]
+        units += 1
+        kept = []
+        for row in work:
+            y = row.get(col)
+            if y:
+                q = y * sign  # row -= q * pivot clears the column, as sign * sign = 1
+                for k, x in pivot.items():
+                    z = row.get(k, 0) - q * x
+                    if z:
+                        row[k] = z
+                    else:
+                        del row[k]
+                if not row:
+                    continue
+            kept.append(row)
+        work = kept
+    if not work:
+        return (1,) * units
+    cols = sorted(set().union(*work))
+    rest = _matrix(tuple(tuple(row.get(k, 0) for k in cols) for row in work), len(cols))
+    return (1,) * units + _smith(rest)[0]
+
+
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion divisors of Z^ambient_rank / rowspan(mat)."""
     if mat.ncols != ambient_rank:
         raise ValueError(f"matrix has {mat.ncols} columns, ambient rank is {ambient_rank}")
-    divisors = _smith(mat)[0]
+    divisors = _smith_divisors(_sparse_rows(mat))
     return ambient_rank - len(divisors), tuple(x for x in divisors if x > 1)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagrams import PAIR_NAMES, HeegaardDiagram, NotHomologicallyStandard, TrisectionDiagram, _pair_matrix, _pair_rank
 from .groups import DEFAULT_TIETZE_BUDGET, reduced_pi1
-from .intmatrix import IntMatrix, _matrix, _smith
+from .intmatrix import IntMatrix, _matrix, _smith, _smith_divisors, _sparse_rows
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
@@ -65,7 +65,9 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 def _kernel_form(d: TrisectionDiagram, with_u: bool = False) -> tuple:
     """``(Q_K, divisors, U)``: Q_K checked symmetric, and its Smith form
-    checked unimodular of rank b2, U only ``with_u``; see :func:`intersection_form`."""
+    checked unimodular of rank b2; see :func:`intersection_form`.  U is
+    taken, by the dense routine, only ``with_u``; else the divisors come off
+    Q_K's sparse rows and U is ``None``."""
     g, b2 = d.genus, homology(d)[2][0]
     n_divisors, n_u = d._beta_image_smith
     kern = n_u.rows[len(n_divisors) :]
@@ -74,7 +76,7 @@ def _kernel_form(d: TrisectionDiagram, with_u: bool = False) -> tuple:
     qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    divisors, u = _smith(qk, with_u=with_u)
+    divisors, u = _smith(qk, with_u=True) if with_u else (_smith_divisors(_sparse_rows(qk)), None)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
     return qk, divisors, u
@@ -138,49 +140,75 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
     with row v splits off, and the rest becomes the Schur complement scaled
     by |p|, |p| M - sign(p) v v^T, then divided by the gcd of its entries;
     positive scalings keep the signature.  A +-1 diagonal entry is taken
-    first, else the first nonzero one: a unit pivot scales nothing, so the
-    rows with v_i = 0 stay as they are and no gcd pass follows.  Rank and
-    signature are congruence invariants (Sylvester), so they are those of
-    any pivot order.  A zero diagonal is repaired by the hyperbolic-pair
-    trick (add one basis vector to another).  Parity is even iff every
+    first, else the first nonzero one: a unit pivot scales nothing, so it
+    changes only the entries in supp(v) x supp(v) and no gcd pass follows.
+    Rank and signature are congruence invariants (Sylvester), so they are
+    those of any pivot order.  The form is kept as symmetric dict rows of
+    nonzero entries, and a row left empty, a radical vector, is dropped.
+    When no diagonal entry is left, a zero diagonal is repaired by the
+    hyperbolic-pair trick (add a basis vector e_j with m[i][j] != 0 to
+    e_i, which makes m[i][i] = 2 m[i][j]).  Parity is even iff every
     diagonal entry of q is even, which is a congruence invariant.
     """
     if q.nrows != q.ncols:
         raise ValueError("form matrix must be square")
     if q != q.transpose():
         raise ValueError("form matrix must be symmetric")
-    m = [list(row) for row in q.rows]
+    m = {i: row for i, row in enumerate(map(dict, _sparse_rows(q))) if row}
     rank = signature = 0
     while m:
-        n = len(m)
-        piv = next((i for i in range(n) if m[i][i] in (1, -1)), None)
+        piv = next((i for i, row in m.items() if row.get(i) in (1, -1)), None)
         if piv is None:
-            piv = next((i for i in range(n) if m[i][i]), None)
+            piv = next((i for i, row in m.items() if i in row), None)
         if piv is None:
-            off = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
-            if off is None:
-                break
-            i, j = off
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            piv = i
-        p = m[piv][piv]
+            piv = next(iter(m))
+            _add_basis_vector(m, piv, next(iter(m[piv])))
+        v = m.pop(piv)
+        p = v.pop(piv)
         sign, scale = (1 if p > 0 else -1), abs(p)
         rank += 1
         signature += sign
-        v = m[piv][:piv] + m[piv][piv + 1 :]
-        rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
-        # a unit pivot scales nothing, so rows with v_i = 0 stay and no gcd divides
-        m = [
-            [scale * x - sign * vi * vj for x, vj in zip(row, v)] if vi or scale > 1 else row
-            for row, vi in zip(rest, v)
-        ]
-        if scale > 1 and (div := math.gcd(*(x for row in m for x in row))) > 1:
-            m = [[x // div for x in row] for row in m]
+        for i in v:
+            del m[i][piv]
+        if scale > 1:
+            for row in m.values():
+                for k in row:
+                    row[k] *= scale
+        for i, vi in v.items():
+            row, s = m[i], sign * vi
+            for k, vk in v.items():
+                x = row.get(k, 0) - s * vk
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if not row:
+                del m[i]
+        if scale > 1 and (div := math.gcd(*(x for row in m.values() for x in row.values()))) > 1:
+            for row in m.values():
+                for k in row:
+                    row[k] //= div
     parity = "even" if all(row[i] % 2 == 0 for i, row in enumerate(q.rows)) else "odd"
     return FormInvariants(rank, signature, parity)
+
+
+def _add_basis_vector(m: dict, i: int, j: int) -> None:
+    """Replace e_i by e_i + e_j in the symmetric dict rows ``m`` of a form
+    with zero diagonal and m[i][j] != 0: row i gains row j, then column i
+    gains column j, so m[i][i] becomes 2 m[i][j].  Every other row keeps an
+    entry, as row j's entries are nonzero where an entry of column i cancels."""
+    row = dict(m[i])
+    for k, x in m[j].items():
+        row[k] = row.get(k, 0) + x
+    row[i] += row[j]
+    for k, x in row.items():
+        if k == i:
+            continue
+        if x:
+            m[k][i] = x
+        else:
+            del m[k][i]
+    m[i] = {k: x for k, x in row.items() if x}
 
 
 @dataclass(frozen=True)

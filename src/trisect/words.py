@@ -143,6 +143,17 @@ def block_index(code: int, genus: int) -> int:
     return i if c % 2 else genus + i
 
 
+# bounded, so a long-lived process does not keep a table for every genus it saw
+@lru_cache(maxsize=64)
+def _block_letters(genus: int) -> dict[int, int]:
+    """Each token code of genus ``genus``, signed, to its signed block index.
+
+    The one dict is shared by every caller, which only reads it; a code
+    whose index exceeds the genus has no entry.
+    """
+    return {s * c: s * block_index(c, genus) for c in range(1, 2 * genus + 1) for s in (1, -1)}
+
+
 def abelianize_word(word: Iterable[int], genus: int) -> tuple[int, ...]:
     """Signed exponent sums in the (a_1..a_g, b_1..b_g) basis.
 

@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from conftest import moved_diagrams, random_move_sequence
 from trisect.diagrams import (
     CutSystem,
     InvalidCutSystemError,
+    TrisectionDiagram,
     connected_sum,
     cut_system,
     handle_slide,
@@ -20,7 +22,7 @@ from trisect.diagrams import (
 from trisect.intmatrix import IntMatrix, symplectic_pairing
 from trisect.invariants import form_invariants, homology, intersection_form, k_triple
 from trisect.textio import parse, serialize
-from trisect.words import abelianize_word, cyclic_reduce, free_reduce, invert_word, parse_word
+from trisect.words import abelianize_word, cyclic_reduce, free_reduce, invert_word, max_index, parse_word
 
 
 def words(*texts):
@@ -33,6 +35,15 @@ def curve_words_in_range(draw):
     fail the Lagrangian check."""
     genus = draw(st.integers(2, 4))
     letter = st.sampled_from([c for i in range(1, 2 * genus + 1) for c in (i, -i)])
+    return genus, draw(st.lists(st.lists(letter, max_size=4), min_size=genus, max_size=genus))
+
+
+@st.composite
+def curve_words_past_genus(draw):
+    """A genus 0-3 and the genus's number of short words whose letters reach
+    two indices past it, so some words, not always the first, are out of range."""
+    genus = draw(st.integers(0, 3))
+    letter = st.sampled_from([c for i in range(1, 2 * genus + 5) for c in (i, -i)])
     return genus, draw(st.lists(st.lists(letter, max_size=4), min_size=genus, max_size=genus))
 
 
@@ -55,11 +66,51 @@ class TestValidation:
         with pytest.raises(InvalidCutSystemError) as exc:
             cut_system(words("a1"), 2)
         assert exc.value.reason == "count"
+        with pytest.raises(InvalidCutSystemError) as exc:  # the count comes before the index
+            cut_system(words("a9"), 2)
+        assert exc.value.reason == "count"
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidCutSystemError) as exc:
             cut_system(words("a2"), 1)
         assert exc.value.reason == "index"
+        # the first word out of range is named by its largest index, before
+        # curves 1 and 2 fail the Lagrangian check, and a later word with a
+        # larger index is not the one named
+        with pytest.raises(InvalidCutSystemError) as exc:
+            cut_system(words("a1 b3 A4", "b1", "a9"), 3, family="gamma")
+        assert exc.value.reason == "index"
+        assert str(exc.value) == "gamma: token index 4 exceeds genus 3"
+
+    @settings(max_examples=200)
+    @given(curve_words_past_genus())
+    def test_index_error_matches_max_index_pass(self, case):
+        # the letter table refuses what the separate max_index pass refused,
+        # with the same message, and only that
+        genus, curve_words = case
+        reduced = [cyclic_reduce(w) for w in curve_words]
+        expected = next(
+            (f"token index {max_index(w)} exceeds genus {genus}" for w in reduced if max_index(w) > genus), None
+        )
+        try:
+            cut_system(curve_words, genus)
+            raised = None
+        except InvalidCutSystemError as exc:
+            raised = (exc.reason, str(exc))
+        if expected is None:
+            assert raised is None or raised[0] in ("lagrangian", "imprimitive")
+        else:
+            assert raised == ("index", expected)
+
+    def test_unchecked_cut_system_past_genus_raises_value_error(self):
+        # a CutSystem built without validation refuses a letter past its
+        # genus when its rows are first read, as a ValueError, never a KeyError
+        for word in ((3,), (1, -4)):
+            s = CutSystem(1, (word,))
+            d = TrisectionDiagram(1, s, s, s)
+            for read in (s.matrix, lambda: s._nonzeros, lambda: k_triple(d)):
+                with pytest.raises(ValueError, match="^token index 2 exceeds genus 1$"):
+                    read()
 
     def test_non_lagrangian_pair_reported(self):
         with pytest.raises(InvalidCutSystemError) as exc:
@@ -243,16 +294,19 @@ class TestMovesBuildCutSystems:
         assert calls == []
 
     def test_moves_abelianize_no_word_and_slides_share_rows(self, monkeypatch):
-        # moves act on words; rows are derived when an invariant asks, and a
-        # slide keeps the two other families, whose kept rows are reused
+        # moves act on words; rows' nonzeros are read off the words when an
+        # invariant asks, once per cut system, and a slide keeps the two other
+        # families, whose kept nonzeros are reused; no dense row is built
         calls = []
-        real = trisect.diagrams.abelianize_word
+        real = CutSystem._nonzeros.func
 
-        def counting(word, genus):
-            calls.append(word)
-            return real(word, genus)
+        def counting(system):
+            calls.append(system.words)
+            return real(system)
 
-        monkeypatch.setattr(trisect.diagrams, "abelianize_word", counting)
+        counted = cached_property(counting)
+        counted.__set_name__(CutSystem, "_nonzeros")
+        monkeypatch.setattr(CutSystem, "_nonzeros", counted)
         d = connected_sum(standard_diagram("S2xS2"), standard_diagram("CP2"))
         other = standard_diagram("CP2BAR")
         calls.clear()
@@ -263,13 +317,14 @@ class TestMovesBuildCutSystems:
         assert d.genus == 6
         assert calls == []
         k_triple(d)
-        assert len(calls) == 3 * d.genus
+        assert sorted(calls) == sorted(s.words for s in d.families())
         calls.clear()
         slid = slide_family(d, "beta", 2, 4, words("a1 B3")[0], -1)
         assert calls == []
         assert slid.alpha is d.alpha and slid.gamma is d.gamma
         assert k_triple(slid) == k_triple(d)
-        assert calls == list(slid.beta.words)
+        assert calls == [slid.beta.words]
+        assert all("_rows" not in vars(s) for s in (*d.families(), slid.beta))
         fresh = CutSystem(slid.genus, slid.beta.words)  # equality, hash and repr ignore kept rows
         assert (fresh, hash(fresh), repr(fresh)) == (slid.beta, hash(slid.beta), repr(slid.beta))
 

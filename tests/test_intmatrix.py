@@ -5,8 +5,21 @@ from itertools import chain, combinations, permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import determinant
-from trisect.intmatrix import IntMatrix, _matrix, _pairing, _smith, quotient_invariants, symplectic_pairing
+import trisect.intmatrix as intmatrix_module
+from conftest import FIXTURES, determinant
+from trisect.diagrams import InvalidCutSystemError, NotHomologicallyStandard
+from trisect.intmatrix import (
+    IntMatrix,
+    _matrix,
+    _pairing,
+    _smith,
+    _smith_divisors,
+    _sparse_rows,
+    quotient_invariants,
+    symplectic_pairing,
+)
+from trisect.invariants import k_triple
+from trisect.textio import parse
 
 EYE3 = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -217,6 +230,7 @@ def small_matrices(draw, max_dim=4, bound=6):
 def test_smith_divisors_match_minor_oracle(m):
     divisors = _smith(m)[0]
     assert list(divisors) == minor_gcd_divisors(m)
+    assert _smith_divisors(_sparse_rows(m)) == divisors
     free, torsion = quotient_invariants(m.ncols, m)
     assert free == m.ncols - len(divisors)
     assert torsion == tuple(x for x in divisors if x > 1)
@@ -232,6 +246,7 @@ def test_smith_divisors_match_sympy():
         ref = sympy_snf(sympy.Matrix(m.nrows, m.ncols, list(chain(*m.rows))), domain=sympy.ZZ)
         ref_diag = [abs(int(ref[i, i])) for i in range(min(m.nrows, m.ncols))]
         assert list(_smith(m)[0]) == [x for x in ref_diag if x]
+        assert list(_smith_divisors(_sparse_rows(m))) == [x for x in ref_diag if x]
 
     check()
 
@@ -516,3 +531,61 @@ def test_smith_matches_reference_on_package_shapes(m):
     # still be the dense routine's
     assert _smith(m, with_u=True) == reference_smith(m, ("u",))
     assert _smith(m)[0] == reference_smith(m)[0]
+
+
+# entries of the sparse divisor routine's inputs: mostly zeros and units,
+# with non-units that leave a remainder and one entry far past machine words
+SPARSE_ENTRY = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3, 10**30, -(10**30)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 8, mostly zeros, with zero rows, and with some rows all
+    even so that no unit pivot reaches them and the remainder runs."""
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = []
+    for _ in range(r):
+        scale = draw(st.sampled_from((0, 1, 1, 2)))  # a zero row, a plain row or an all-even one
+        rows.append([scale * draw(SPARSE_ENTRY) for _ in range(c)])
+    return IntMatrix(rows, c)
+
+
+@settings(max_examples=400)
+@given(st.one_of(sparse_matrices(), small_matrices(), package_shaped(), unit_after_non_unit()))
+@example(IntMatrix([], ncols=0))  # genus 0: a cut system with no curves
+@example(IntMatrix([[], []], ncols=0))
+@example(IntMatrix([[0, 0, 0], [0, 0, 0]]))
+@example(IntMatrix([[2, 4, 0], [0, 0, 0], [6, 10**30, 2]]))  # no unit anywhere
+@example(IntMatrix([[1, 2, 3], [2, 6, 6], [3, 6, 13]]))  # a unit pivot leaves 2 and 4 behind
+def test_sparse_smith_divisors_match_dense(m):
+    # divisors are invariants, so the sparse unit sweep and its remainder
+    # must give the dense elimination's, from dense or pair rows alike
+    divisors = _smith(m)[0]
+    assert _smith_divisors(_sparse_rows(m)) == divisors
+    pairs = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in m.rows)
+    assert _smith_divisors(pairs) == divisors
+    assert quotient_invariants(m.ncols, m) == (m.ncols - len(divisors), tuple(x for x in divisors if x > 1))
+
+
+def test_remainder_path_runs_on_refused_fixtures(monkeypatch):
+    # an imprimitive cut system and a pair with torsion have no unit pivot
+    # left for their divisor 2: the dense routine takes the remainder
+    shapes = []
+    real = intmatrix_module._smith
+
+    def counted(m, **kw):
+        shapes.append((m.nrows, m.ncols))
+        return real(m, **kw)
+
+    monkeypatch.setattr(intmatrix_module, "_smith", counted)
+    with pytest.raises(InvalidCutSystemError) as exc:
+        parse((FIXTURES / "invalid_imprimitive.tri").read_text())
+    assert (exc.value.reason, exc.value.divisors) == ("imprimitive", (2,))
+    assert shapes == [(1, 1)]
+    shapes.clear()
+    d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
+    assert shapes == []
+    with pytest.raises(NotHomologicallyStandard) as err:
+        k_triple(d)
+    assert err.value.divisors == (2,)
+    assert shapes == [(1, 1)]

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trisect.cli as cli
 import trisect.diagrams as diagrams_module
@@ -227,17 +227,22 @@ class TestPairKMatchesStackedReference:
             assert _outcome(pair_k, h)[1] == (2,)
 
     def test_k_triple_takes_no_stacked_smith_form(self, monkeypatch):
+        # one divisor call per g x g pair matrix, on its sparse rows; unit
+        # pivots take every row, so no dense Smith form runs
         d = slide_family(connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3")), "beta", 1, 0)
-        shapes = []
-        real = intmatrix_module._smith
+        shapes, dense = [], []
+        real = intmatrix_module._smith_divisors
 
-        def counted(m, **kw):
-            shapes.append((m.nrows, m.ncols))
-            return real(m, **kw)
+        def counted(rows):
+            rows = [tuple(r) for r in rows]
+            shapes.append((len(rows), max((k + 1 for r in rows for k, _ in r), default=0)))
+            return real(rows)
 
-        monkeypatch.setattr(intmatrix_module, "_smith", counted)
+        monkeypatch.setattr(intmatrix_module, "_smith_divisors", counted)
+        monkeypatch.setattr(intmatrix_module, "_smith", lambda *a, **kw: dense.append(a))
         assert k_triple(d) == (1, 1, 1)
-        assert shapes == [(d.genus, d.genus)] * 3
+        assert len(shapes) == 3 and all(r == d.genus and c <= d.genus for r, c in shapes)
+        assert dense == []
 
 
 def _forged_gamma():
@@ -482,6 +487,19 @@ class TestFormRuntimeChecks:
         self.assert_refused(monkeypatch, capsys, d, "not symmetric")
 
 
+def _e8_form():
+    """Chain 1..7 with node 8 hanging off node 5: the rank-8 even unimodular
+    positive definite form."""
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
+    rows = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in edges:
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
+    return IntMatrix(rows)
+
+
+E8 = _e8_form()
+
+
 class TestFormInvariants:
     def test_examples(self):
         assert form_invariants(IntMatrix([[1]])) == FormInvariants(1, 1, "odd")
@@ -496,15 +514,8 @@ class TestFormInvariants:
         assert form_invariants(IntMatrix([[2, 1], [1, -3]])) == FormInvariants(2, 0, "odd")
 
     def test_e8_lattice_form(self):
-        # chain 1..7 with node 8 hanging off node 5: the rank-8 even
-        # unimodular positive definite form
-        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-        rows = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
-        for i, j in edges:
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = -1
-        q = IntMatrix(rows)
-        assert determinant(q) == 1
-        assert form_invariants(q) == FormInvariants(8, 8, "even")
+        assert determinant(E8) == 1
+        assert form_invariants(E8) == FormInvariants(8, 8, "even")
 
     def test_two_hyperbolic_blocks(self):
         h = [[0, 1], [1, 0]]
@@ -546,14 +557,17 @@ def _random_unimodular(rng, n):
 
 
 def reference_form_invariants(q):
-    """The congruence diagonalization ``form_invariants`` replaced, kept as
-    its reference: the first nonzero diagonal entry is the pivot, and the
-    Schur complement is divided by the gcd of its entries after every step."""
+    """The dense congruence diagonalization that ``form_invariants`` replaced,
+    kept as its reference: the same +-1-first pivot rule, hyperbolic-pair
+    repair and |p|-scaling with a gcd pass, on list rows, slicing the
+    pivot's row and column out of every row at every step."""
     m = [list(row) for row in q.rows]
-    pos = neg = 0
+    rank = signature = 0
     while m:
         n = len(m)
-        piv = next((i for i in range(n) if m[i][i]), None)
+        piv = next((i for i in range(n) if m[i][i] in (1, -1)), None)
+        if piv is None:
+            piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
             off = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
             if off is None:
@@ -565,61 +579,100 @@ def reference_form_invariants(q):
                 m[k][i] += m[k][j]
             piv = i
         p = m[piv][piv]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
         sign, scale = (1 if p > 0 else -1), abs(p)
+        rank += 1
+        signature += sign
         v = m[piv][:piv] + m[piv][piv + 1 :]
         rest = [row[:piv] + row[piv + 1 :] for i, row in enumerate(m) if i != piv]
-        m = [[scale * x - sign * vi * vj for x, vj in zip(row, v)] for row, vi in zip(rest, v)]
-        div = math.gcd(*(x for row in m for x in row))
-        if div > 1:
+        m = [
+            [scale * x - sign * vi * vj for x, vj in zip(row, v)] if vi or scale > 1 else row
+            for row, vi in zip(rest, v)
+        ]
+        if scale > 1 and (div := math.gcd(*(x for row in m for x in row))) > 1:
             m = [[x // div for x in row] for row in m]
     parity = "even" if all(row[i] % 2 == 0 for i, row in enumerate(q.rows)) else "odd"
-    return FormInvariants(pos + neg, pos - neg, parity)
+    return FormInvariants(rank, signature, parity)
 
 
 OFF_DIAGONAL = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5))
+SPARSE_OFF_DIAGONAL = st.sampled_from((0,) * 9 + (1, -1, 1, -1, 2, -3))
 DIAGONALS = {
     "zero": st.just(0),  # every pivot comes from the hyperbolic repair
     "non_unit": st.sampled_from((2, -2, 3, -3, 4, -6)),  # never a unit pivot at the start
     "mixed": st.sampled_from((0, 1, -1, 2, -2, 3, -4)),
+    "even": st.sampled_from((0, 2, -2, 4)),  # an even form: no unit pivot ever
+    "sparse": st.sampled_from((0, 0, 1, -1, 2)),  # unit pivots touching few rows, which empty
 }
+
+
+def _direct_sum(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows]
+        at += b.nrows
+    return IntMatrix(rows, n)
+
+
+HYPERBOLIC = IntMatrix([[0, 1], [1, 0]])
 
 
 @st.composite
 def symmetric_forms(draw):
     """Symmetric forms of every kind the diagonalization branches on: a
-    degenerate B D B^T of rank below its size, and full-size forms whose
-    diagonal is zero, non-unit or mixed."""
+    degenerate B D B^T of rank below its size (a nonzero radical), and
+    full-size forms whose diagonal is zero, non-unit, mixed or even, or
+    whose entries are mostly zero."""
     kind = draw(st.sampled_from(("degenerate",) + tuple(DIAGONALS)))
-    n = draw(st.integers(1 if kind == "degenerate" else 0, 7))
+    n = draw(st.integers(1 if kind == "degenerate" else 0, 10 if kind == "sparse" else 7))
     if kind == "degenerate":
         k = draw(st.integers(0, n - 1))
         b = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(n)]
         diag = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3)), min_size=k, max_size=k))
         rows = [[sum(x * c * y for x, c, y in zip(bi, diag, bj)) for bj in b] for bi in b]
     else:
+        off = SPARSE_OFF_DIAGONAL if kind == "sparse" else OFF_DIAGONAL
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = draw(DIAGONALS[kind])
             for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = draw(OFF_DIAGONAL)
+                rows[i][j] = rows[j][i] = draw(off)
     return kind, IntMatrix(rows, n)
 
 
-@settings(max_examples=300)
+@settings(max_examples=400)
 @given(symmetric_forms())
+@example(("even", E8))
+@example(("even", _direct_sum(E8, HYPERBOLIC)))
+@example(("zero", _direct_sum(HYPERBOLIC, HYPERBOLIC)))
+@example(("zero", IntMatrix([], ncols=0)))
+@example(("degenerate", _direct_sum(E8, IntMatrix([[0]]), HYPERBOLIC)))
 def test_form_invariants_match_reference(case):
-    # a unit pivot first, no gcd pass after it: rank and signature are
-    # congruence invariants and positive scalings keep them, so both
-    # routines must agree
+    # the sparse elimination against the dense one it replaced, with the
+    # same pivot rule: rank and signature are congruence invariants and
+    # positive scalings keep them, so both routines must agree
     kind, q = case
     inv = form_invariants(q)
     assert inv == reference_form_invariants(q)
     if kind == "degenerate":
         assert inv.rank < q.nrows
+    if kind == "even":
+        assert inv.parity == "even"
+
+
+def test_form_invariants_match_reference_on_raw_population(raw_population):
+    # Q_K and the Gram matrix of diagrams built from raw curve words
+    for d in raw_population:
+        for q in (invariants_module._kernel_form(d)[0], intersection_form(d)):
+            assert form_invariants(q) == reference_form_invariants(q), serialize(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_diagrams(torsion=True))
+def test_form_invariants_match_reference_on_moved_diagrams(d):
+    for q in (invariants_module._kernel_form(d)[0], intersection_form(d)):
+        assert form_invariants(q) == reference_form_invariants(q)
+    assert diagram_form_invariants(d) == form_invariants(intersection_form(d))
 
 
 def test_genus_32_ladder_form_invariants_pinned():
