@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intmatrix import IntMatrix, _matrix, _pairing, _smith, _smith_divisors, quotient_invariants
+from .intmatrix import IntMatrix, _free_and_torsion, _matrix, _pairing, _smith, _smith_divisors, quotient_invariants
 from .words import (
     Word,
     _block_letters,
+    _exponent_rows,
+    _index_error,
     cyclic_reduce,
     invert_word,
     max_index,
@@ -62,15 +64,15 @@ class CutSystem:
     """g cyclically reduced curve words on a genus-g surface whose homology
     span is Lagrangian and primitive.
 
-    The words are the whole of a cut system.  The nonzero entries of its
-    homology rows, which validation, the pairings and the divisor routine
-    read, the dense rows that :meth:`matrix` alone builds from them, and the
-    values :class:`TrisectionDiagram` derives are each a
-    ``functools.cached_property``: kept in the instance ``__dict__``, outside
-    the fields, so equality, hash, repr and text hold, and not kept on a
-    raise.  Neither class may take ``slots=True``, which drops that dict.
-    A word with a token past the genus raises ``ValueError`` when its rows
-    are first read.
+    The words are the whole of a cut system.  Its homology rows' nonzeros
+    (its relabelled words' exponent rows), which validation, the pairings
+    and the divisor routine read, the dense rows that :meth:`matrix` alone
+    builds from them, and the values :class:`TrisectionDiagram` derives are
+    each a ``functools.cached_property``: kept in the instance
+    ``__dict__``, outside the fields, so equality, hash, repr and text
+    hold, and not kept on a raise.  Neither class may take ``slots=True``,
+    which drops that dict.  A word with a token past the genus raises
+    ``ValueError`` when its rows or its pi1 relator are first read.
     """
 
     genus: int
@@ -78,23 +80,14 @@ class CutSystem:
 
     @cached_property
     def _nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero entries as ``(coordinate, value)`` pairs, in
-        coordinate order: a word's exponent sums, read off its letters through
-        the genus's signed table (code -> +-(coordinate + 1))."""
+        """Each row's nonzero ``(coordinate, value)`` pairs in coordinate order:
+        the exponent rows of the words relabelled through the genus's signed
+        table (code -> +-(coordinate + 1))."""
         letters = _block_letters(self.genus)
-        rows = []
-        for w in self.words:
-            sums = {}
-            try:
-                for b in map(letters.__getitem__, w):
-                    if b > 0:
-                        sums[b] = sums.get(b, 0) + 1
-                    else:
-                        sums[-b] = sums.get(-b, 0) - 1
-            except KeyError:
-                raise ValueError(f"token index {max_index(w)} exceeds genus {self.genus}") from None
-            rows.append(tuple(sorted((b - 1, x) for b, x in sums.items() if x)))
-        return tuple(rows)
+        try:
+            return _exponent_rows(map(letters.__getitem__, w) for w in self.words)
+        except KeyError:
+            raise _index_error(self.words, self.genus) from None
 
     @cached_property
     def _rows(self) -> IntMatrix:
@@ -196,8 +189,7 @@ def cut_system(word_seq, genus: int, family: str | None = None) -> CutSystem:
                     pair=(i + 1, j + 1),
                     value=val,
                 )
-    divisors = _smith_divisors(rows)
-    free, torsion = 2 * genus - len(divisors), tuple(x for x in divisors if x > 1)
+    free, torsion = _free_and_torsion(2 * genus, _smith_divisors(rows))
     if free != genus or torsion:
         raise InvalidCutSystemError(
             "imprimitive",

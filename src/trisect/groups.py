@@ -8,8 +8,8 @@ Presentations are checked where they enter: ``Presentation(...)`` and
 ``presentation()`` check every token of words from outside.  Presentations
 built here from words that are valid by construction (the quotients of a
 validated diagram, Tietze results and cube pushouts) skip that check
-through ``_presentation``, as matrices built here skip ``IntMatrix``'s
-through ``intmatrix._matrix``.
+through ``_presentation``.  Abelianizations build no matrix: they read the
+divisors of sparse exponent rows (``words._exponent_rows``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import lru_cache
 from itertools import chain, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
-from .intmatrix import IntMatrix, _matrix, quotient_invariants
-from .words import Word, _block_letters, cyclic_reduce, free_reduce, invert_word
+from .intmatrix import _free_and_torsion, _smith_divisors
+from .words import Word, _block_letters, _exponent_rows, _index_error, cyclic_reduce, free_reduce, invert_word
 
 DEFAULT_HOM_CAP = 10_000_000
 DEFAULT_TIETZE_BUDGET = 10_000  # Tietze steps; invariants and the CLI share it
@@ -119,9 +119,12 @@ def _curve_relator(word: Word, genus: int) -> Word:
 
     A curve's word is cyclically reduced, and relabelling letters by a
     bijection that commutes with inversion keeps it so: no reduction is
-    needed.
+    needed.  A letter past the genus raises the cut system's ``ValueError``.
     """
-    return tuple(map(_block_letters(genus).__getitem__, word))
+    try:
+        return tuple(map(_block_letters(genus).__getitem__, word))
+    except KeyError:
+        raise _index_error((word,), genus) from None
 
 
 def _surface_quotients(d: TrisectionDiagram):
@@ -154,22 +157,9 @@ def pi1_presentation(d: TrisectionDiagram) -> Presentation:
     return _surface_quotients(d)(*FAMILY_NAMES)
 
 
-def _exponent_vector(word: Word, n: int) -> tuple[int, ...]:
-    vec = [0] * n
-    for t in word:
-        vec[abs(t) - 1] += 1 if t > 0 else -1
-    return tuple(vec)
-
-
-def relator_matrix(p: Presentation) -> IntMatrix:
-    """Exponent-sum rows of the relators."""
-    n = p.num_generators
-    return _matrix(tuple(_exponent_vector(r, n) for r in p.relators), n)
-
-
 def abelianize_presentation(p: Presentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion divisors) of the abelianized group."""
-    return quotient_invariants(p.num_generators, relator_matrix(p))
+    return _free_and_torsion(p.num_generators, _smith_divisors(_exponent_rows(p.relators)))
 
 
 def _canonical_rotation(w: Word) -> Word:
@@ -522,19 +512,19 @@ def _check_edge(
     Smith form is taken.
     """
     nt = tgt.num_generators
-    tgt_rows = tuple(_exponent_vector(r, nt) for r in tgt.relators)
-    in_lattice = {(0,) * nt, *tgt_rows}
+    tgt_rows = _exponent_rows(tgt.relators)
+    in_lattice = {(), *tgt_rows}
 
     def quotient(extra):
         if in_lattice.issuperset(extra):
             return tgt_abelian
-        return quotient_invariants(nt, _matrix(tgt_rows + extra, nt))
+        return _free_and_torsion(nt, _smith_divisors(tgt_rows + extra))
 
     covered = {abs(w[0]) for w in images if len(w) == 1}
     if covered >= set(range(1, nt + 1)):
         surjectivity = "exact"
     else:
-        free, torsion = quotient(tuple(_exponent_vector(w, nt) for w in images))
+        free, torsion = quotient(_exponent_rows(images))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
 
     def image(r):  # left unreduced: cancellation keeps exponent sums
@@ -544,7 +534,7 @@ def _check_edge(
     # Hopfian, so if the two have equal invariants the map is an isomorphism:
     # L' = L, and the images already lie in L.  Unequal invariants put some
     # image outside L.
-    mapped = quotient(tuple(_exponent_vector(image(r), nt) for r in src.relators)) == tgt_abelian
+    mapped = quotient(_exponent_rows(map(image, src.relators))) == tgt_abelian
     return EdgeCheck(source, target, surjectivity, mapped)
 
 

@@ -1,34 +1,37 @@
 """Exact integer matrices: Smith normal form, quotient invariants, symplectic pairing.
 
-Everything is plain ``int`` arithmetic, so entries never overflow.  Matrices
-here are small (a few dozen rows at most), and the algorithms favour
-exactness and deterministic output over asymptotics.  There are two Smith
-routines.  ``_smith_divisors`` is sparse and divisor-only: it takes each
-row's nonzero ``(column, value)`` pairs, as cut systems keep them and
-``_sparse_rows`` reads them off a dense matrix, and serves every caller
-that needs invariant factors alone (cut-system validation, pair ranks,
-Q_K's unimodularity check, :func:`quotient_invariants`).  ``_smith`` is
-dense: it serves the callers that use the left transform U, which it
-carries as an identity block appended to the working rows, and the
-divisor routine's rare remainder.  Matrices built here skip the public
-constructor's coercion and shape checks through ``_matrix``.  Callers'
-matrices are mostly zeros, so products and the dense routine's column
-operations skip zero entries, and the pairing product ``_pairing`` takes
-rows as their nonzero entries and adds up only nonzero products.  The
-dense routine's row operations add whole rows with C-level ``map``s.  Its
-column operations skip the finished rows above the pivot, and a +-1 pivot
-ends its step after the row sweep: that sweep leaves its column e_t, so
-the column phase would only clear the pivot's row, which no later step
-reads.  Pivots, quotients and row operations are those of the dense
-elimination, and nothing but row operations reaches the identity block,
-so the results, U included, are the dense ones.
+Everything is plain ``int`` arithmetic, so entries never overflow, and the
+public constructor refuses an entry that is not an integer.  Matrices here
+are small (a few dozen rows at most), and the algorithms favour exactness
+and deterministic output over asymptotics.  There are two Smith routines.
+``_smith_divisors`` is sparse and divisor-only: it takes each row's nonzero
+``(column, value)`` pairs, as ``words._exponent_rows`` makes them from
+words and ``_sparse_rows`` reads them off a dense matrix, and serves every
+caller that needs invariant factors alone (cut-system validation, pair
+ranks, Q_K's unimodularity check, the groups layer's abelianizations and
+:func:`quotient_invariants`); ``_free_and_torsion`` reads a quotient's free
+rank and torsion off its divisors.  ``_smith`` is dense: it serves the
+callers that use the left transform U, which it carries as an identity
+block appended to the working rows, and the divisor routine's rare
+remainder.  Matrices built here skip the public constructor's coercion and
+shape checks through ``_matrix``.  Callers' matrices are mostly zeros, so
+products and the dense routine's column operations skip zero entries, and
+the pairing product ``_pairing`` takes rows as their nonzero entries and
+adds up only nonzero products.  The dense routine's row operations add
+whole rows with C-level ``map``s.  Its column operations skip the finished
+rows above the pivot, and a +-1 pivot ends its step after the row sweep:
+that sweep leaves its column e_t, so the column phase would only clear the
+pivot's row, which no later step reads.  Pivots, quotients and row
+operations are those of the dense elimination, and nothing but row
+operations reaches the identity block, so the results, U included, are the
+dense ones.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 
 
 class IntMatrix:
@@ -37,7 +40,7 @@ class IntMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
-        rows = tuple(tuple(int(e) for e in r) for r in rows)
+        rows = tuple(tuple(map(index, r)) for r in rows)  # ints and bools; a float or str raises TypeError
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -47,6 +50,8 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("a matrix with no rows needs an explicit ncols")
+        elif ncols < 0:
+            raise ValueError(f"ncols={ncols} is negative")
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
@@ -217,16 +222,15 @@ def _smith_divisors(rows) -> tuple[int, ...]:
     nonzero ``(column, value)`` pairs, with no U.
 
     Divisors are invariants, so the pivot order is free.  A row with a +-1
-    entry is a pivot: subtracting multiples of it clears that entry's
-    column from the other rows, after which the pivot splits off as a
-    divisor 1 (column operations would clear the rest of its row and touch
-    no other), so its row is dropped.  Rows are dicts from column to
-    nonzero value, so a pivot's arithmetic touches only the entries of the
-    rows that hold its column, and a row left empty is dropped too.  What remains once no
-    row holds a unit, rarely anything, goes to :func:`_smith` densified on
-    the columns it uses; 1 divides each of its divisors.  Unit pivots on
-    sparse rows are the usual cheap route to Smith divisors (Dumas,
-    Saunders and Villard, J. Symb. Comput. 32, 2001).
+    entry is a pivot: subtracting multiples of it (:func:`_subtract`, on
+    dict rows) clears that entry's column from the rows that hold it, after
+    which the pivot splits off as a divisor 1 (column operations would
+    clear the rest of its row and touch no other), so its row is dropped,
+    as is a row left empty.  What remains once no row holds a unit, rarely
+    anything, goes to :func:`_smith` densified on the columns it uses; 1
+    divides each of its divisors.  Unit pivots on sparse rows are the usual
+    cheap route to Smith divisors (Dumas, Saunders and Villard, J. Symb.
+    Comput. 32, 2001).
     """
     work = [row for row in map(dict, rows) if row]
     units = 0
@@ -247,13 +251,7 @@ def _smith_divisors(rows) -> tuple[int, ...]:
         for row in work:
             y = row.get(col)
             if y:
-                q = y * sign  # row -= q * pivot clears the column, as sign * sign = 1
-                for k, x in pivot.items():
-                    z = row.get(k, 0) - q * x
-                    if z:
-                        row[k] = z
-                    else:
-                        del row[k]
+                _subtract(row, y * sign, pivot)  # clears the column, as sign * sign = 1
                 if not row:
                     continue
             kept.append(row)
@@ -265,12 +263,25 @@ def _smith_divisors(rows) -> tuple[int, ...]:
     return (1,) * units + _smith(rest)[0]
 
 
+def _subtract(row: dict, q: int, pivot: dict) -> None:
+    """``row -= q * pivot`` in place, on dict rows of nonzero entries: a zero it makes is dropped."""
+    for k, x in pivot.items():
+        if z := row.get(k, 0) - q * x:
+            row[k] = z
+        else:
+            del row[k]
+
+
+def _free_and_torsion(rank: int, divisors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Free rank and torsion divisors of Z^rank modulo a lattice with Smith divisors ``divisors``."""
+    return rank - len(divisors), tuple(x for x in divisors if x > 1)
+
+
 def quotient_invariants(ambient_rank: int, mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion divisors of Z^ambient_rank / rowspan(mat)."""
     if mat.ncols != ambient_rank:
         raise ValueError(f"matrix has {mat.ncols} columns, ambient rank is {ambient_rank}")
-    divisors = _smith_divisors(_sparse_rows(mat))
-    return ambient_rank - len(divisors), tuple(x for x in divisors if x > 1)
+    return _free_and_torsion(ambient_rank, _smith_divisors(_sparse_rows(mat)))
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int], genus: int) -> int:

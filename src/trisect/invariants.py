@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagrams import PAIR_NAMES, HeegaardDiagram, NotHomologicallyStandard, TrisectionDiagram, _pair_matrix, _pair_rank
 from .groups import DEFAULT_TIETZE_BUDGET, reduced_pi1
-from .intmatrix import IntMatrix, _matrix, _smith, _smith_divisors, _sparse_rows
+from .intmatrix import IntMatrix, _free_and_torsion, _matrix, _smith, _smith_divisors, _sparse_rows, _subtract
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
@@ -57,8 +57,7 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     that :func:`intersection_form` shares: b1 = g - rank N.  H3 is its free
     part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    divisors = d._beta_image_smith[0]
-    b1, torsion = d.genus - len(divisors), tuple(x for x in divisors if x > 1)
+    b1, torsion = _free_and_torsion(d.genus, d._beta_image_smith[0])
     b2 = euler_characteristic(d) - 2 + 2 * b1
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
@@ -175,14 +174,8 @@ def form_invariants(q: IntMatrix) -> FormInvariants:
                 for k in row:
                     row[k] *= scale
         for i, vi in v.items():
-            row, s = m[i], sign * vi
-            for k, vk in v.items():
-                x = row.get(k, 0) - s * vk
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            if not row:
+            _subtract(m[i], sign * vi, v)
+            if not m[i]:
                 del m[i]
         if scale > 1 and (div := math.gcd(*(x for row in m.values() for x in row.values()))) > 1:
             for row in m.values():
@@ -198,17 +191,13 @@ def _add_basis_vector(m: dict, i: int, j: int) -> None:
     gains column j, so m[i][i] becomes 2 m[i][j].  Every other row keeps an
     entry, as row j's entries are nonzero where an entry of column i cancels."""
     row = dict(m[i])
-    for k, x in m[j].items():
-        row[k] = row.get(k, 0) + x
-    row[i] += row[j]
+    _subtract(row, -1, m[j])
+    row[i] = 2 * m[i][j]
+    for k in m[i].keys() - row.keys():  # entries of column i that cancelled
+        del m[k][i]
     for k, x in row.items():
-        if k == i:
-            continue
-        if x:
-            m[k][i] = x
-        else:
-            del m[k][i]
-    m[i] = {k: x for k, x in row.items() if x}
+        m[k][i] = x
+    m[i] = row
 
 
 @dataclass(frozen=True)

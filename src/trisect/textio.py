@@ -25,7 +25,7 @@ from .diagrams import (
     trisection_diagram,
 )
 from .groups import CUBE_VERTICES, GroupTrisectionCube, Presentation, abelianize_presentation
-from .words import format_word, parse_word
+from .words import _code_of_text, format_word, parse_word
 
 
 class ParseError(Exception):
@@ -47,16 +47,13 @@ def _significant_lines(text):
 
 def _first_bad_token(chunk):
     """Offset in ``chunk`` of its first whitespace-separated token that is not
-    a word.  The empty word ``e`` is one only when it stands alone."""
-    tokens = list(re.finditer(r"\S+", chunk))
-    for tok in tokens:
-        if tok.group() == "e" and len(tokens) > 1:
-            return tok.start()
+    a generator.  :func:`parse_word` refuses a nonblank chunk only for such a
+    token, ``e`` among several included, so one is found."""
+    for tok in re.finditer(r"\S+", chunk):
         try:
-            parse_word(tok.group())
+            _code_of_text(tok.group())
         except ValueError:
             return tok.start()
-    return None
 
 
 def parse(text: str):
@@ -101,8 +98,7 @@ def parse(text: str):
                 try:
                     words.append(parse_word(chunk))
                 except ValueError as exc:
-                    bad = _first_bad_token(chunk)
-                    col = None if bad is None else offset + bad + 1
+                    col = offset + _first_bad_token(chunk) + 1
                     raise ParseError(str(exc), line=lineno, column=col) from None
                 offset += len(chunk) + 1
         if len(words) != genus:

@@ -154,6 +154,28 @@ def _block_letters(genus: int) -> dict[int, int]:
     return {s * c: s * block_index(c, genus) for c in range(1, 2 * genus + 1) for s in (1, -1)}
 
 
+def _index_error(words: Iterable[Word], genus: int) -> ValueError:
+    """The error for words with a letter past ``genus``, naming the first such word's largest index."""
+    index = next(i for i in map(max_index, words) if i > genus)
+    return ValueError(f"token index {index} exceeds genus {genus}")
+
+
+def _exponent_rows(words: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each word's nonzero exponent sums as ``(generator - 1, sum)`` pairs in
+    generator order, for letters 1..n, negative for inverses: the package's
+    abelianized words, the sparse rows that ``intmatrix`` reads."""
+    rows = []
+    for w in words:
+        sums = {}
+        for b in w:
+            if b > 0:
+                sums[b] = sums.get(b, 0) + 1
+            else:
+                sums[-b] = sums.get(-b, 0) - 1
+        rows.append(tuple(sorted((b - 1, x) for b, x in sums.items() if x)))
+    return tuple(rows)
+
+
 def abelianize_word(word: Iterable[int], genus: int) -> tuple[int, ...]:
     """Signed exponent sums in the (a_1..a_g, b_1..b_g) basis.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trisect.diagrams
-from conftest import moved_diagrams, random_move_sequence
+from conftest import FIXTURES, moved_diagrams, random_move_sequence
 from trisect.diagrams import (
     CutSystem,
     InvalidCutSystemError,
@@ -272,6 +272,25 @@ class TestMovesBuildCutSystems:
         assert k_triple(moved) == k_triple(back)
         assert homology(moved) == homology(back)
         assert form_invariants(intersection_form(moved)) == form_invariants(intersection_form(back))
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(torsion=True))
+    def test_nonzeros_are_abelianized_words(self, moved):
+        # the rows' nonzeros, read off the words by the one exponent-sum
+        # routine, against the public dense reference; every fixture's
+        # families are built unchecked, so the refused ones count too
+        systems = list(moved.families())
+        for path in sorted(FIXTURES.glob("*.tri")):
+            lines = [line.split("#")[0].split() for line in path.read_text().splitlines()]
+            genus = next(int(f[1]) for f in lines if f[:1] == ["genus"])
+            for f in lines:
+                if f[:1] in (["alpha"], ["beta"], ["gamma"]):
+                    curves = " ".join(f[1:]).split("|") if len(f) > 1 else []
+                    systems.append(CutSystem(genus, tuple(cyclic_reduce(parse_word(c)) for c in curves)))
+        assert len(systems) > 3 + 30
+        for s in systems:
+            dense = (abelianize_word(w, s.genus) for w in s.words)
+            assert s._nonzeros == tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in dense)
 
     def test_moves_make_no_cut_system_calls(self, monkeypatch):
         calls = []

@@ -1,9 +1,11 @@
+import ast
 import operator
 import random
 import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,7 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import trisect.groups as groups
 from conftest import FIXTURES, moved_diagrams
-from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, stabilize, standard_diagram
+from trisect.diagrams import (
+    FAMILY_NAMES,
+    CutSystem,
+    TrisectionDiagram,
+    connected_sum,
+    slide_family,
+    stabilize,
+    standard_diagram,
+)
 from trisect.groups import (
     CUBE_EDGES,
     CUBE_FACES,
@@ -34,15 +44,15 @@ from trisect.groups import (
     pi1_presentation,
     presentation,
     reduced_pi1,
-    relator_matrix,
     tietze_simplify,
     verify_cube,
 )
-from trisect.intmatrix import IntMatrix, _smith
+from trisect.intmatrix import IntMatrix, _smith, quotient_invariants
 from trisect.invariants import (
     DEFAULT_TIETZE_BUDGET,
     VERDICT_TRIVIAL_PI1,
     homology,
+    k_triple,
     poincare_candidate_check,
 )
 from trisect.textio import parse, serialize
@@ -319,6 +329,19 @@ class TestPi1:
                 assert cyclic_reduce(w) == w
                 assert _curve_relator(w, d.genus) == reference_curve_relator(w, d.genus)
 
+    @pytest.mark.parametrize(
+        "entry",
+        (pi1_presentation, reduced_pi1, lambda d: diagram_hom_count(d, 3), k_triple, homology, build_cube),
+        ids=("pi1_presentation", "reduced_pi1", "diagram_hom_count", "k_triple", "homology", "build_cube"),
+    )
+    def test_letter_past_genus_raises_value_error(self, entry):
+        # a diagram built without validation refuses a letter past its genus
+        # with the cut system's ValueError on every path, never a KeyError
+        for word in ((3,), (1, -4)):
+            s = CutSystem(1, (word,))
+            with pytest.raises(ValueError, match="^token index 2 exceeds genus 1$"):
+                entry(TrisectionDiagram(1, s, s, s))
+
     def test_s4_trivial_presentation(self):
         p = pi1_presentation(standard_diagram("S4"))
         assert p.num_generators == 0 and p.relators == ()
@@ -410,6 +433,51 @@ class TestReducedPi1:
             diagram_hom_count(d, 3, simplify_budget=-1)
 
 
+def test_groups_builds_no_matrix():
+    # abelianizations hand sparse exponent rows to the divisor routine: the
+    # groups layer neither imports nor binds a matrix class or constructor
+    tree = ast.parse(Path(groups.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"IntMatrix", "_matrix", "quotient_invariants"})
+    assert not {"IntMatrix", "_matrix"} & set(vars(groups))
+
+
+def relator_matrix(p):
+    """Dense reference: the exponent-sum rows of ``p``'s relators, counted
+    letter by letter, as a checked ``IntMatrix``."""
+    n = p.num_generators
+    return IntMatrix([[r.count(g) - r.count(-g) for g in range(1, n + 1)] for r in p.relators], n)
+
+
+@st.composite
+def abelianization_cases(draw):
+    """Presentations on 0 to 6 generators whose relators are random words,
+    commutators (zero exponent sums) or long powers and products, up to
+    about 200 letters."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return presentation(0, [])
+    tokens = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(tokens, min_size=1, max_size=8).map(tuple)
+
+    def relator():
+        kind = draw(st.sampled_from(("word", "commutator", "long")))
+        w = draw(words)
+        if kind == "commutator":
+            u = draw(words)
+            return w + u + invert_word(w) + invert_word(u)
+        if kind == "long":
+            return w * draw(st.integers(2, 25))
+        return w
+
+    return presentation(n, [relator() for _ in range(draw(st.integers(0, 7)))])
+
+
 class TestAbelianize:
     def test_examples(self):
         assert abelianize_presentation(presentation(2, [COMMUTATOR])) == (2, ())
@@ -417,6 +485,17 @@ class TestAbelianize:
         assert abelianize_presentation(
             pi1_presentation(standard_diagram("S1xS3"))
         ) == (1, ())
+
+    @settings(max_examples=300, deadline=None)
+    @given(abelianization_cases())
+    @example(presentation(0, []))
+    @example(presentation(2, [COMMUTATOR]))
+    @example(presentation(3, [COMMUTATOR, (3, 3, 3, 3, 3, 3), (1, 3, -1, 2, -3)]))
+    @example(presentation(2, [(1,) * 150 + (2, 2), (2,) * 90 + (-1,) * 7]))
+    def test_matches_dense_reference(self, p):
+        # the sparse exponent rows and their divisors against dense rows
+        # counted letter by letter and the public quotient
+        assert abelianize_presentation(p) == quotient_invariants(p.num_generators, relator_matrix(p))
 
 
 class TestTietze:
@@ -749,8 +828,6 @@ class TestCube:
         assert ab["total"] == (1, ())
 
     def test_handlebody_and_sector_ranks(self, library):
-        from trisect.invariants import k_triple
-
         for d in library.items():
             name, d = d
             cube = build_cube(d)
@@ -806,7 +883,7 @@ class TestCube:
     @staticmethod
     def count_work(monkeypatch, cube, budget):
         calls = Counter()
-        for name in ("tietze_simplify", "abelianize_presentation", "quotient_invariants"):
+        for name in ("tietze_simplify", "abelianize_presentation", "_smith_divisors"):
 
             def counted(*args, _fn=getattr(groups, name), _name=name):
                 calls[_name] += 1
@@ -841,7 +918,7 @@ class TestCube:
         # Smith forms: those 2 + 2, and the pushout side of the one Failed
         # face, whose sink's abelianization is one of the first 2
         assert [f.status for f in touching].count("Failed") == 1
-        assert calls["quotient_invariants"] == 2 + 2 + 1
+        assert calls["_smith_divisors"] == 2 + 2 + 1
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
@@ -1108,8 +1185,8 @@ def test_check_edge_reuses_the_target_lattice_only_when_no_row_is_new(edge):
     # form; one new row, in the lattice or not, takes the Smith form
     e, src, tgt, kind = edge
     abelian = abelianize_presentation(tgt)
-    smith = mock.Mock(wraps=groups.quotient_invariants)
-    with mock.patch.object(groups, "quotient_invariants", smith):
+    smith = mock.Mock(wraps=groups._smith_divisors)
+    with mock.patch.object(groups, "_smith_divisors", smith):
         check = _check_edge(e.source, e.target, e.images, src, tgt, abelian)
     assert check == reference_edge(e, src, tgt)
     if kind == "new":
@@ -1220,12 +1297,10 @@ def corrupt_sector(cube, sector):
 
 def assert_trusted(p):
     """``p`` was built unchecked: the public constructor accepts it and
-    builds an equal presentation, and its relator matrix has the exponent
-    sums that a checked ``IntMatrix`` holds."""
+    builds an equal presentation, and its abelianization is that of the
+    dense relator matrix a checked ``IntMatrix`` holds."""
     assert Presentation(p.num_generators, p.relators, p.names) == p
-    n = p.num_generators
-    sums = [[r.count(g) - r.count(-g) for g in range(1, n + 1)] for r in p.relators]
-    assert relator_matrix(p) == IntMatrix(sums, n)
+    assert abelianize_presentation(p) == quotient_invariants(p.num_generators, relator_matrix(p))
 
 
 def assert_cube_trusted(cube):

@@ -18,7 +18,7 @@ from trisect.intmatrix import (
     quotient_invariants,
     symplectic_pairing,
 )
-from trisect.invariants import k_triple
+from trisect.invariants import form_invariants, k_triple
 from trisect.textio import parse
 
 EYE3 = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -286,6 +286,26 @@ def test_public_constructor_coerces_entries():
     m = IntMatrix([[True, 0], (False, 2)])
     assert m.rows == ((1, 0), (0, 2))
     assert all(type(x) is int for row in m.rows for x in row)
+
+
+def test_public_constructor_refuses_non_integral_entries():
+    # entries were once truncated by int(): 1.5 read as 1, 0.5 as 0
+    for rows in ([[1.5, 2.9]], [[0.5]], [[2.5]], [[1, "2"]], [["1"]]):
+        with pytest.raises(TypeError):
+            IntMatrix(rows)
+    with pytest.raises(TypeError):
+        form_invariants(IntMatrix([[0.5]]))
+    with pytest.raises(TypeError):
+        quotient_invariants(1, IntMatrix([[2.5]]))
+
+
+def test_public_constructor_refuses_negative_ncols():
+    for ncols in (-1, -2):
+        with pytest.raises(ValueError, match="ncols"):
+            IntMatrix([], ncols=ncols)
+    with pytest.raises(ValueError, match="ambient rank is -2"):
+        quotient_invariants(-2, IntMatrix([], ncols=0))
+    assert IntMatrix([], ncols=0).ncols == 0
 
 
 def test_internal_results_equal_public_matrices():

@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trisect.diagrams import HeegaardDiagram, TrisectionDiagram, standard_diagram
+from trisect.diagrams import HeegaardDiagram, InvalidCutSystemError, TrisectionDiagram, standard_diagram
 from trisect.groups import build_cube
 from trisect.textio import (
     ParseError,
@@ -11,6 +12,7 @@ from trisect.textio import (
     parse,
     serialize,
 )
+from trisect.words import parse_word
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,6 +69,37 @@ def test_bad_token_reports_line_and_column():
         parse("trisection\ngenus 1\nalpha a1 e\nbeta b1\ngamma a1 b1\n")
     assert (exc.value.line, exc.value.column) == (3, 10)
     assert str(exc.value) == "bad token 'e' (line 3, column 10)"
+
+
+TOKENS = ("a1", "B2", "b1", "A3", "e", "c1", "a0", "2", "a", "A01", "ab1", "a1b", "E", "\u00e91", "a\u00b2")
+
+
+def refused(token):
+    try:
+        parse_word(token)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4), min_size=1, max_size=3),
+       st.sampled_from((" ", "  ", "\t")))
+def test_every_family_line_word_error_carries_a_column(chunks, gap):
+    # parse_word refuses a word only for a bad token, or e among others, so
+    # every ParseError of a family line of nonblank curves points at a
+    # column, and the token there is such a token
+    genus = len(chunks)
+    line = "alpha" + "|".join(gap + gap.join(tokens) + gap for tokens in chunks)
+    empty = " | ".join("e" * genus)
+    text = f"trisection\ngenus {genus}\n{line}\nbeta {empty}\ngamma {empty}\n"
+    with pytest.raises((ParseError, InvalidCutSystemError)) as exc:
+        parse(text)  # a line that parses holds empty curves, which validation refuses
+    if isinstance(exc.value, ParseError):
+        assert exc.value.line == 3 and exc.value.column is not None
+        at = exc.value.column - 1
+        token, chunk = line[at:].split()[0], line.split("|")[line[:at].count("|")].split()
+        assert refused(token) or (token == "e" and len(chunk) > 1)
 
 
 def test_arity_mismatch():
