@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("cube", _cmd_cube, help="group trisection cube")
     p.add_argument("file")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
-    p.add_argument("--verify", type=int, metavar="BUDGET", help="verify surjectivity and pushout faces")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
+    mode.add_argument("--verify", type=int, metavar="BUDGET", help="verify surjectivity and pushout faces")
 
     p = add("poincare-check", _cmd_poincare, help="homotopy 4-sphere screening")
     p.add_argument("file")

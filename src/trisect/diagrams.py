@@ -65,10 +65,10 @@ class CutSystem:
     span is Lagrangian and primitive.
 
     The words are the whole of a cut system.  Its homology rows' nonzeros
-    (its relabelled words' exponent rows), which validation, the pairings
-    and the divisor routine read, the dense rows that :meth:`matrix` alone
-    builds from them, and the values :class:`TrisectionDiagram` derives are
-    each a ``functools.cached_property``: kept in the instance
+    (its relabelled words' exponent rows), which validation, the pairings,
+    the divisor routine and :meth:`matrix` read, and the values
+    :class:`TrisectionDiagram` derives from them are each a
+    ``functools.cached_property``: kept in the instance
     ``__dict__``, outside the fields, so equality, hash, repr and text
     hold, and not kept on a raise.  Neither class may take ``slots=True``,
     which drops that dict.  A word with a token past the genus raises
@@ -89,15 +89,12 @@ class CutSystem:
         except KeyError:
             raise _index_error(self.words, self.genus) from None
 
-    @cached_property
-    def _rows(self) -> IntMatrix:
+    def matrix(self) -> IntMatrix:
+        """The g x 2g matrix of homology rows, one abelianized word each,
+        built from the nonzeros on each call and not kept."""
         width = 2 * self.genus
         rows = (tuple(row.get(k, 0) for k in range(width)) for row in map(dict, self._nonzeros))
         return _matrix(tuple(rows), width)
-
-    def matrix(self) -> IntMatrix:
-        """The g x 2g matrix of homology rows, one abelianized word each."""
-        return self._rows
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,15 @@ class TrisectionDiagram:
         return tuple(map(_pair_rank, self._pair_matrices, PAIR_NAMES))
 
     @cached_property
-    def _beta_image_smith(self) -> tuple:
-        """``(divisors, U)`` of N = [P_ab^T; P_bg], beta's pairings with alpha and gamma."""
+    def _beta_kernel(self) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+        """N = [P_ab^T; P_bg], beta's pairings with alpha and gamma, as its Smith
+        divisors and the alpha and gamma blocks of K, the rows of U past the
+        rank in U N V = D: a basis of N's left kernel."""
+        g = self.genus
         p_ab, p_bg = self._pair_matrices[:2]
-        return _smith(_matrix(p_ab.transpose().rows + p_bg.rows, self.genus), with_u=True)
+        divisors, u = _smith(_matrix(p_ab.transpose().rows + p_bg.rows, g), with_u=True)
+        kern = u.rows[len(divisors) :]
+        return divisors, _matrix(tuple(z[:g] for z in kern), g), _matrix(tuple(z[g:] for z in kern), g)
 
     @cached_property
     def _reduced_pi1(self) -> dict:  # budget -> Presentation, filled by groups.reduced_pi1

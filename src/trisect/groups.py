@@ -173,18 +173,14 @@ def _canonical_rotation(w: Word) -> Word:
     return min(v[s : s + n] for v in (w + w, iw * 2) for s in range(n) if v[s] == m)
 
 
-def _canonical(w) -> Word:
-    """The canonical rotation of the cyclic reduction of w; () when it is trivial."""
-    return _canonical_rotation(cyclic_reduce(w))
-
-
 def _shorten(u: Word, v: Word) -> Word | None:
     """Shorten relator u using relator v, or None.
 
     Replaces the first cyclic subword of u, in the order (v before v^-1,
     start in v, start in u), that matches more than half of v or v^-1 by the
-    inverse of the rest.  Its first len(v) // 2 + 1 letters decide a match
-    (free reduction cancels any more), looked up in a hash index of u.
+    inverse of the rest, and returns the result cyclically reduced.  Its
+    first len(v) // 2 + 1 letters decide a match (free reduction cancels any
+    more), looked up in a hash index of u.
     """
     nu, nv = len(u), len(v)
     h = nv // 2 + 1
@@ -274,7 +270,7 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
             rep = invert_word(tail) if head > 0 else tail
             image = {gen: rep, -gen: invert_word(rep)}
             rels = {
-                _canonical([x for t in w for x in image.get(t, (t,))])
+                _canonical_rotation(cyclic_reduce([x for t in w for x in image.get(t, (t,))]))
                 if gen in w or -gen in w
                 else w
                 for w in rels
@@ -287,7 +283,7 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
         if u is None:
             break
         rels.remove(u)
-        rels.add(_canonical(cand))
+        rels.add(_canonical_rotation(cand))
         rels.discard(())
     # numbering the survivors in order is monotone and commutes with
     # inversion, so it keeps each relator canonical and the order sorted

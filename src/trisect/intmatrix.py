@@ -41,6 +41,8 @@ class IntMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
         rows = tuple(tuple(map(index, r)) for r in rows)  # ints and bools; a float or str raises TypeError
+        if ncols is not None:
+            ncols = index(ncols)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

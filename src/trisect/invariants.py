@@ -53,11 +53,11 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     Z^2g onto Z^g with kernel L_beta, and H1 is the cokernel of the images of
     L_alpha and L_gamma, the rows of the 2g x g matrix N = [P_ab^T; P_bg] of
     two of ``d``'s cached pair matrices (those of -alpha_i and gamma_i).  H1
-    is read off the divisors of N's Smith form, a cached property of ``d``
-    that :func:`intersection_form` shares: b1 = g - rank N.  H3 is its free
-    part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
+    is read off N's Smith divisors, which ``d`` caches with the kernel
+    blocks that :func:`intersection_form` reads: b1 = g - rank N.  H3 is its
+    free part and H2 carries its torsion, with free rank b2 = chi - 2 + 2*b1.
     """
-    b1, torsion = _free_and_torsion(d.genus, d._beta_image_smith[0])
+    b1, torsion = _free_and_torsion(d.genus, d._beta_kernel[0])
     b2 = euler_characteristic(d) - 2 + 2 * b1
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
@@ -67,11 +67,8 @@ def _kernel_form(d: TrisectionDiagram, with_u: bool = False) -> tuple:
     checked unimodular of rank b2; see :func:`intersection_form`.  U is
     taken, by the dense routine, only ``with_u``; else the divisors come off
     Q_K's sparse rows and U is ``None``."""
-    g, b2 = d.genus, homology(d)[2][0]
-    n_divisors, n_u = d._beta_image_smith
-    kern = n_u.rows[len(n_divisors) :]
-    k_alpha = _matrix(tuple(z[:g] for z in kern), g)
-    k_gamma = _matrix(tuple(z[g:] for z in kern), g)
+    b2 = homology(d)[2][0]
+    _, k_alpha, k_gamma = d._beta_kernel
     qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
@@ -98,16 +95,17 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     beta to be a validated cut system, which every diagram built by
     ``parse``, ``cut_system`` or the moves is.  By Poincare duality the
     form's radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
-    unimodular of size b2, whether or not H1 has torsion.  K is taken as the
-    rows of U past the rank in the Smith form U N V = D that
-    :func:`homology` shares: they are a basis of the left kernel of N.  With
-    Q_K checked symmetric and U Q_K V = D its Smith form, the rows of U past
-    the rank span its two-sided kernel, so U Q_K U^T = q ⊕ 0.  q, on the
-    first rows of U, has Q_K's Smith divisors: it is unimodular of size b2
-    iff they are b2 ones.  The Gram matrix is a deterministic function of
-    the diagram; only its congruence class is an invariant, and
-    :func:`diagram_form_invariants` reads that class's rank, signature and
-    parity off Q_K itself.  Refuses a non-standard pair.
+    unimodular of size b2, whether or not H1 has torsion.  K is the rows of
+    U past the rank in N's Smith form U N V = D, a basis of the left kernel
+    of N, and ``d`` caches its alpha and gamma blocks with the divisors that
+    :func:`homology` reads.  With Q_K checked symmetric and U Q_K V = D its
+    Smith form, the rows of U past the rank span its two-sided kernel, so
+    U Q_K U^T = q ⊕ 0.  q, on the first rows of U, has Q_K's Smith
+    divisors: it is unimodular of size b2 iff they are b2 ones.  The Gram
+    matrix is a deterministic function of the diagram; only its congruence
+    class is an invariant, and :func:`diagram_form_invariants` reads that
+    class's rank, signature and parity off Q_K itself.  Refuses a
+    non-standard pair.
     """
     qk, divisors, u = _kernel_form(d, with_u=True)
     basis = _matrix(u.rows[: len(divisors)], qk.nrows)

@@ -54,6 +54,20 @@ def test_homcount_negative_cap_refused_before_simplifying(monkeypatch, capsys):
     assert calls["tietze_simplify"] == 1
 
 
+def test_cube_dot_and_verify_are_exclusive(capsys):
+    # --dot once printed DOT and exited 0 whatever --verify asked for; the
+    # pair is now a usage error that prints nothing on stdout
+    path = str(FIXTURES / "cp2.tri")
+    for verify in ("-1", "0", "100"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cube", path, "--dot", "--verify", verify])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not allowed with argument" in out.err
+    assert cli.main(["cube", path, "--dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
 def test_parser_built_once_keeps_no_state(capsys):
     # main builds its parser once per process: repeated calls, a call after
     # a usage error and a call after one with an option all print what the

@@ -601,6 +601,22 @@ class TestTietze:
                 q = tietze_simplify(p, budget)
                 assert calls["rotation"] <= len(q.relators), budget
 
+    def test_shortening_reduces_its_result_once(self, monkeypatch):
+        # no generator occurs once, so the one step shortens the 4-letter
+        # relator by the 7-letter one; _shorten returns it cyclically
+        # reduced, and the step only rotates it to its canonical form
+        p = Presentation(2, ((1, 1, 2, 2), (1, 1, 2, 2, 1, 1, 2)))
+        calls = []
+
+        def counted(w, _fn=groups.cyclic_reduce):
+            calls.append(w)
+            return _fn(w)
+
+        monkeypatch.setattr(groups, "cyclic_reduce", counted)
+        q = tietze_simplify(p, 1)
+        assert len(calls) == 1
+        assert (q.num_generators, q.relators, q.names) == reference_tietze(p, 1)
+
     def test_matches_reference_loop_on_cube_vertices(self, library):
         d = connected_sum(library["S2xS2"], library["CP2+CP2BAR"])
         for p in build_cube(d).vertices.values():

@@ -308,6 +308,22 @@ def test_public_constructor_refuses_negative_ncols():
     assert IntMatrix([], ncols=0).ncols == 0
 
 
+def test_public_constructor_coerces_ncols():
+    # ncols was once stored as given: 2.5 made a matrix of width 2.5, and a
+    # quotient of "rank 2.5"
+    for build in (
+        lambda: IntMatrix([], ncols=2.5),
+        lambda: quotient_invariants(2.5, IntMatrix([], ncols=2.5)),
+        lambda: IntMatrix([[1, 2]], ncols=2.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    for ncols in (False, True):
+        m = IntMatrix([], ncols=ncols)
+        assert m.ncols == ncols and type(m.ncols) is int
+    assert IntMatrix([[1]], ncols=True) == IntMatrix([[1]])
+
+
 def test_internal_results_equal_public_matrices():
     m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     no_rows = IntMatrix([], ncols=3)

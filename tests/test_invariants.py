@@ -99,9 +99,9 @@ class TestPairK:
         assert len(calls) == 3
 
     def test_curve_smith_form_computed_once_per_diagram(self, monkeypatch):
-        # homology and intersection_form share one Smith form of the 2g x g
-        # matrix N of beta's pairings, cached on the diagram; no 3g x 2g
-        # stacked curve matrix is reduced
+        # homology and intersection_form share the divisors and kernel blocks
+        # of one Smith form of the 2g x g matrix N of beta's pairings, cached
+        # on the diagram; no 3g x 2g stacked curve matrix is reduced
         d = parse((FIXTURES / "cp2_sum_cp2bar.tri").read_text())
         shapes = []
         real = intmatrix_module._smith
@@ -140,14 +140,14 @@ class TestPairK:
         intersection_form(d)
         groups.reduced_pi1(d, 0)
         groups.reduced_pi1(d)
-        assert {"_pair_matrices", "_k_triple", "_beta_image_smith", "_reduced_pi1"} <= set(vars(d))
+        assert {"_pair_matrices", "_k_triple", "_beta_kernel", "_reduced_pi1"} <= set(vars(d))
         assert len(d._reduced_pi1) == 2
         assert d == twin and twin == d
         assert (hash(d), repr(d), serialize(d)) == before
         assert hash(d) == hash(twin) and repr(d) == repr(twin) and serialize(d) == text
         for s in d.families():
             fresh = type(s)(s.genus, s.words)
-            assert "_rows" in vars(s) and "_rows" not in vars(fresh)
+            assert "_nonzeros" in vars(s) and "_nonzeros" not in vars(fresh)
             assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
         # dataclasses.replace builds a new object, so a k_triple cached on a
         # diagram does not answer for its copy with a forged gamma
@@ -402,6 +402,22 @@ def reference_form(d):
 class TestFormReference:
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
+    def test_beta_kernel_is_the_reference_kernel(self, d1, d2):
+        # N's cache holds the divisors of a reference Smith form of N, built
+        # from the dense rows, and the alpha and gamma blocks of the rows of
+        # its U past the rank
+        for d in (d1, connected_sum(d1, d2)):
+            g = d.genus
+            a, b, c = (s.matrix().rows for s in d.families())
+            n = [[symplectic_pairing(y, x, g) for y in b] for x in a]
+            n += [[symplectic_pairing(z, y, g) for y in b] for z in c]
+            divisors, u = _smith(IntMatrix(n, g), with_u=True)
+            kern = u.rows[len(divisors) :]
+            blocks = IntMatrix([z[:g] for z in kern], g), IntMatrix([z[g:] for z in kern], g)
+            assert d._beta_kernel == (divisors, *blocks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
     def test_moved_and_summed(self, d1, d2):
         # the kept alpha-gamma matrix pulled back to N's kernel is the same
         # integer matrix as the dense product through J of the lifts in
@@ -433,12 +449,12 @@ class TestFormRuntimeChecks:
 
     # each test takes k_triple before it installs its forgery, so the forged
     # pair matrices reach homology and the form and not the pair ranks,
-    # which share them; N's Smith form is not cached yet, so it is taken
-    # from the forged matrices
+    # which share them; N's divisors and kernel blocks are not cached yet,
+    # so they are taken from the forged matrices
 
     def forge(self, monkeypatch, d, edit):
         k_triple(d)
-        assert "_beta_image_smith" not in vars(d)
+        assert "_beta_kernel" not in vars(d)
         kept = [[list(row) for row in m.rows] for m in d._pair_matrices]
         edit(kept)
         forged = tuple(IntMatrix(rows, d.genus) for rows in kept)
