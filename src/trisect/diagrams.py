@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intmatrix import IntMatrix, _free_and_torsion, _matrix, _pairing, _smith, _smith_divisors, quotient_invariants
+from .intmatrix import (
+    IntMatrix, _free_and_torsion, _matrix, _pairing, _smith_divisors, _sparse_rows, quotient_invariants
+)
 from .words import (
     Word,
     _block_letters,
@@ -129,15 +131,18 @@ class TrisectionDiagram:
         return tuple(map(_pair_rank, self._pair_matrices, PAIR_NAMES))
 
     @cached_property
-    def _beta_kernel(self) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    def _beta_kernel(self) -> tuple[tuple[int, ...], tuple, tuple]:
         """N = [P_ab^T; P_bg], beta's pairings with alpha and gamma, as its Smith
-        divisors and the alpha and gamma blocks of K, the rows of U past the
-        rank in U N V = D: a basis of N's left kernel."""
+        divisors and the alpha and gamma blocks of K, a basis of N's left
+        kernel, each row as its nonzero ``(index, value)`` pairs."""
         g = self.genus
         p_ab, p_bg = self._pair_matrices[:2]
-        divisors, u = _smith(_matrix(p_ab.transpose().rows + p_bg.rows, g), with_u=True)
-        kern = u.rows[len(divisors) :]
-        return divisors, _matrix(tuple(z[:g] for z in kern), g), _matrix(tuple(z[g:] for z in kern), g)
+        n = _matrix(p_ab.transpose().rows + p_bg.rows, g)
+        divisors, _, kernel = _smith_divisors(_sparse_rows(n), transforms=True)
+        # an emptied row holds its coefficient of N's row j under the key ~j
+        k_alpha = tuple(tuple((~k, v) for k, v in z.items() if ~k < g) for z in kernel)
+        k_gamma = tuple(tuple((~k - g, v) for k, v in z.items() if ~k >= g) for z in kernel)
+        return divisors, k_alpha, k_gamma
 
     @cached_property
     def _reduced_pi1(self) -> dict:  # budget -> Presentation, filled by groups.reduced_pi1

@@ -60,6 +60,8 @@ class Presentation:
             raise ValueError("negative generator count")
         # stored as tuples, so an equal presentation built from lists hashes
         object.__setattr__(self, "relators", tuple(map(tuple, self.relators)))
+        if isinstance(self.names, str):
+            raise TypeError(f"names {self.names!r} is one str, not a sequence of names")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != n:

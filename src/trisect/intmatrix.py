@@ -1,37 +1,31 @@
-"""Exact integer matrices: Smith normal form, quotient invariants, symplectic pairing.
+"""Exact integer matrices: Smith divisors and kernels, quotient invariants, symplectic pairing.
 
 Everything is plain ``int`` arithmetic, so entries never overflow, and the
 public constructor refuses an entry that is not an integer.  Matrices here
 are small (a few dozen rows at most), and the algorithms favour exactness
-and deterministic output over asymptotics.  There are two Smith routines.
-``_smith_divisors`` is sparse and divisor-only: it takes each row's nonzero
-``(column, value)`` pairs, as ``words._exponent_rows`` makes them from
-words and ``_sparse_rows`` reads them off a dense matrix, and serves every
-caller that needs invariant factors alone (cut-system validation, pair
-ranks, Q_K's unimodularity check, the groups layer's abelianizations and
-:func:`quotient_invariants`); ``_free_and_torsion`` reads a quotient's free
-rank and torsion off its divisors.  ``_smith`` is dense: it serves the
-callers that use the left transform U, which it carries as an identity
-block appended to the working rows, and the divisor routine's rare
-remainder.  Matrices built here skip the public constructor's coercion and
-shape checks through ``_matrix``.  Callers' matrices are mostly zeros, so
-products and the dense routine's column operations skip zero entries, and
-the pairing product ``_pairing`` takes rows as their nonzero entries and
-adds up only nonzero products.  The dense routine's row operations add
-whole rows with C-level ``map``s.  Its column operations skip the finished
-rows above the pivot, and a +-1 pivot ends its step after the row sweep:
-that sweep leaves its column e_t, so the column phase would only clear the
-pivot's row, which no later step reads.  Pivots, quotients and row
-operations are those of the dense elimination, and nothing but row
-operations reaches the identity block, so the results, U included, are the
-dense ones.
+and deterministic output over asymptotics.  There is one elimination,
+``_smith_divisors``.  It takes each row's nonzero ``(column, value)``
+pairs, as ``words._exponent_rows`` makes them from words and
+``_sparse_rows`` reads them off a dense matrix, and keeps the rows as
+dicts.  By default it returns the Smith divisors alone, for cut-system
+validation, pair ranks, Q_K's unimodularity check, the groups layer's
+abelianizations and :func:`quotient_invariants`.  On request it also
+returns the transform rows that row operations build: a basis of the left
+kernel (N's, for homology and the intersection form) and the rows of the
+pivots (Q_K's, for the form's fallback basis).  ``_free_and_torsion``
+reads a quotient's free rank and torsion off the divisors.  Matrices built
+here skip the public constructor's coercion and shape checks through
+``_matrix``.  Callers' matrices are mostly zeros, so products take the
+nonzero coefficients of each row, and the pairing product ``_pairing``
+takes rows as their nonzero entries and adds up only nonzero products.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from operator import add, index, neg, sub
+from operator import add, index, sub
 
 
 class IntMatrix:
@@ -66,7 +60,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return _matrix(tuple(_combine(r, other.rows, other.ncols) for r in self.rows), other.ncols)
+        return _matrix(tuple(_combine(r, other.rows, other.ncols) for r in _sparse_rows(self)), other.ncols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -93,15 +87,16 @@ def _matrix(rows: tuple[tuple[int, ...], ...], ncols: int) -> IntMatrix:
 
 
 def _combine(coeffs, rows, ncols: int) -> tuple[int, ...]:
-    """A row of a product: the sum of ``c * row`` over the nonzero ``c`` in ``coeffs``."""
+    """A row of a product: the sum of ``c * rows[k]`` over the nonzero
+    ``(k, c)`` pairs in ``coeffs``."""
     acc = (0,) * ncols
-    for c, row in zip(coeffs, rows):
+    for k, c in coeffs:
         if c == 1:
-            acc = tuple(map(add, acc, row))
+            acc = tuple(map(add, acc, rows[k]))
         elif c == -1:
-            acc = tuple(map(sub, acc, row))
-        elif c:
-            acc = tuple(map(add, acc, map(c.__mul__, row)))
+            acc = tuple(map(sub, acc, rows[k]))
+        else:
+            acc = tuple(map(add, acc, map(c.__mul__, rows[k])))
     return acc
 
 
@@ -130,139 +125,94 @@ def _pairing(a_rows, b_rows, genus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _smith(mat: IntMatrix, with_u: bool = False) -> tuple:
-    """Smith normal form of ``mat``: ``(divisors, U)``.
-
-    ``divisors`` is the nonzero diagonal d1 | d2 | ... of D = U*mat*V (its
-    length is the rank).  U is unimodular and returned only ``with_u``,
-    else ``None``: row i then starts as row i of ``mat`` and of the m x m
-    identity, the row operations turn [mat | I] into [U*mat | U], and every
-    scan and column operation stops at column n.  Pivots are chosen by
-    smallest nonzero absolute value, ties broken by lowest row then column,
-    so the output is deterministic.
-    """
-    m, n = mat.nrows, mat.ncols
-    d = [list(r) for r in mat.rows]
-    if with_u:
-        for i, row in enumerate(d):
-            row += [0] * m
-            row[n + i] = 1
-
-    def row_add(i, j, q):  # row_i += q * row_j, one C-level map over the row
-        if q == 1:
-            d[i] = list(map(add, d[i], d[j]))
-        elif q == -1:
-            d[i] = list(map(sub, d[i], d[j]))
-        else:
-            d[i] = list(map(add, d[i], map(q.__mul__, d[j])))
-
-    # a finished row i < t is e_i * d_i in the dense elimination, zero in
-    # every column that step t touches, and no later step reads it: column
-    # operations at step t (the loop's t) walk only d[t:]
-    def col_swap(i, j):
-        for r in d[t:]:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for r in d[t:]:
-            if r[j]:
-                r[i] += q * r[j]
-
-    def find_pivot(t):
-        best, at = 0, None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (not best or abs(e) < best):
-                    best, at = abs(e), (i, j)
-                    if best == 1:  # nothing smaller, and later ties lose
-                        return at
-        return at
-
-    t = 0
-    while t < min(m, n):
-        pivot = find_pivot(t)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != t:
-                d[i], d[t] = d[t], d[i]
-            if j != t:
-                col_swap(j, t)
-            if d[t][t] < 0:
-                d[t] = list(map(neg, d[t]))
-            p = d[t][t]
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    row_add(i, t, -(d[i][t] // p))
-            if p == 1:  # column t is now e_t, the column phase would only clear row t, and 1 divides all
-                break
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    col_add(j, t, -(d[t][j] // p))
-            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
-                pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
-                continue
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 : n])), None)
-            if bad is None:
-                break
-            row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
-            pivot = find_pivot(t)
-        t += 1
-    return tuple(d[i][i] for i in range(t)), (_matrix(tuple(tuple(r[n:]) for r in d), m) if with_u else None)
-
-
 def _sparse_rows(mat: IntMatrix):
     """The rows of ``mat`` as iterators of their nonzero ``(column, value)`` pairs."""
     return (compress(enumerate(row), row) for row in mat.rows)
 
 
-def _smith_divisors(rows) -> tuple[int, ...]:
-    """``_smith(mat)[0]`` for the matrix whose rows are given as their
-    nonzero ``(column, value)`` pairs, with no U.
+def _smith_divisors(rows, transforms: bool = False):
+    """The Smith divisors d1 | d2 | ... of the matrix whose rows are given as
+    their nonzero ``(column, value)`` pairs; their number is the rank.
 
-    Divisors are invariants, so the pivot order is free.  A row with a +-1
-    entry is a pivot: subtracting multiples of it (:func:`_subtract`, on
-    dict rows) clears that entry's column from the rows that hold it, after
-    which the pivot splits off as a divisor 1 (column operations would
-    clear the rest of its row and touch no other), so its row is dropped,
-    as is a row left empty.  What remains once no row holds a unit, rarely
-    anything, goes to :func:`_smith` densified on the columns it uses; 1
-    divides each of its divisors.  Unit pivots on sparse rows are the usual
-    cheap route to Smith divisors (Dumas, Saunders and Villard, J. Symb.
-    Comput. 32, 2001).
+    With ``transforms``, returns ``(divisors, pivots, kernel)``, the rows of
+    a unimodular left transform U that row operations build.  Row i starts
+    as its dict of nonzeros plus row i of the identity, whose entry j sits
+    under the negative key ``~j``, so one :func:`_subtract` updates the
+    matrix and the transform together; U's entry (i, j) is then row i's
+    value at ``~j``.  ``kernel`` holds the rows that the elimination
+    empties, which have negative keys alone and are a basis of the left
+    kernel, and ``pivots`` the rest, in the order they split off.
+
+    Each step takes a pivot: the first row's first +-1 entry, else the entry
+    of least absolute value, first in row order.  Subtracting multiples of
+    the pivot row clears the pivot's column from the other rows, or leaves
+    remainders smaller than the pivot, which then pivots again (row Euclid).
+    A pivot alone in its column has its other entries reduced modulo it by
+    column operations, which change that row alone and no transform.  Once
+    nothing else is left in its row, it splits off as a divisor and its row
+    is dropped; a +-1 pivot splits off at once, as its column operations
+    would clear its row.  Every step drops a row or makes the least entry
+    smaller, so the loop ends.  The split-off divisors of a diagonal matrix
+    become a divisor chain by pairwise gcd and lcm.  The pivot rows are
+    independent, each with an entry in a column that every later row has
+    cleared, so the emptied rows are a basis of the kernel lattice.  Unit
+    pivots on sparse rows are the usual cheap route to Smith divisors
+    (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001), and the
+    general steps are those of Kannan and Bachem (SIAM J. Comput. 8, 1979).
     """
-    work = [row for row in map(dict, rows) if row]
+    work, kernel, pivots, rest = [], [], [], []
+    for i, row in enumerate(map(dict, rows)):
+        (work if row else kernel).append(row)
+        if transforms:
+            row[~i] = 1
     units = 0
     while work:
-        # the first row holding a unit entry: sign at column col
         for i, pivot in enumerate(work):
-            for col, sign in pivot.items():
-                if sign == 1 or sign == -1:
+            for col, x in pivot.items():
+                if (x == 1 or x == -1) and col >= 0:
                     break
             else:
                 continue
             break
         else:
-            break
-        del work[i]
-        units += 1
+            i, col = min(
+                ((i, k) for i, row in enumerate(work) for k in row if k >= 0), key=lambda at: abs(work[at[0]][at[1]])
+            )
+        pivot = work.pop(i)
+        x = pivot[col]
         kept = []
         for row in work:
-            y = row.get(col)
-            if y:
-                _subtract(row, y * sign, pivot)  # clears the column, as sign * sign = 1
-                if not row:
+            if y := row.get(col):
+                _subtract(row, y // x, pivot)
+                if not row or transforms and max(row) < 0:  # no matrix entry left
+                    kernel.append(row)
                     continue
             kept.append(row)
         work = kept
-    if not work:
-        return (1,) * units
-    cols = sorted(set().union(*work))
-    rest = _matrix(tuple(tuple(row.get(k, 0) for k in cols) for row in work), len(cols))
-    return (1,) * units + _smith(rest)[0]
+        if x == 1 or x == -1:
+            units += 1
+        elif any(col in row for row in work):
+            work.append(pivot)
+            continue
+        else:
+            for k in [k for k in pivot if k >= 0 and k != col]:
+                if r := pivot[k] % x:
+                    pivot[k] = r
+                else:
+                    del pivot[k]
+            if any(k >= 0 and k != col for k in pivot):
+                work.append(pivot)
+                continue
+            rest.append(abs(x))
+        pivots.append(pivot)
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = math.gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    divisors = (1,) * units + tuple(rest)
+    if not transforms:
+        return divisors
+    return divisors, pivots, kernel
 
 
 def _subtract(row: dict, q: int, pivot: dict) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .diagrams import PAIR_NAMES, HeegaardDiagram, NotHomologicallyStandard, TrisectionDiagram, _pair_matrix, _pair_rank
 from .groups import DEFAULT_TIETZE_BUDGET, reduced_pi1
-from .intmatrix import IntMatrix, _free_and_torsion, _matrix, _smith, _smith_divisors, _sparse_rows, _subtract
+from .intmatrix import IntMatrix, _combine, _free_and_torsion, _matrix, _smith_divisors, _sparse_rows, _subtract
 
 VERDICT_NOT_SPHERE = "NotHomotopySphere"
 VERDICT_UNRESOLVED = "HomologySphereUnresolved"
@@ -62,24 +62,26 @@ def homology(d: TrisectionDiagram) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return (1, ()), (b1, torsion), (b2, torsion), (b1, ()), (1, ())
 
 
-def _kernel_form(d: TrisectionDiagram, with_u: bool = False) -> tuple:
-    """``(Q_K, divisors, U)``: Q_K checked symmetric, and its Smith form
-    checked unimodular of rank b2; see :func:`intersection_form`.  U is
-    taken, by the dense routine, only ``with_u``; else the divisors come off
-    Q_K's sparse rows and U is ``None``."""
+def _kernel_form(d: TrisectionDiagram) -> IntMatrix:
+    """Q_K, checked symmetric, and its Smith divisors checked to be b2 ones;
+    see :func:`intersection_form`.  It is formed from K's sparse rows: P_ga^T
+    K_alpha^T, then K_gamma times that."""
     b2 = homology(d)[2][0]
     _, k_alpha, k_gamma = d._beta_kernel
-    qk = k_gamma @ (d._pair_matrices[2].transpose() @ k_alpha.transpose())
+    right = tuple(zip(*(_combine(z, d._pair_matrices[2].rows, d.genus) for z in k_alpha)))
+    qk = _matrix(tuple(_combine(z, right, len(k_alpha)) for z in k_gamma), len(k_alpha))
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    divisors, u = _smith(qk, with_u=True) if with_u else (_smith_divisors(_sparse_rows(qk)), None)
+    divisors = _smith_divisors(_sparse_rows(qk))
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
-    return qk, divisors, u
+    return qk
 
 
 def intersection_form(d: TrisectionDiagram) -> IntMatrix:
-    """Gram matrix of the intersection pairing on a basis of H2 / Tors.
+    """Gram matrix of the intersection pairing on a basis of H2 / Tors: the
+    normal form of its congruence class, except for definite forms of rank
+    >= 9, whose class rank, signature and parity do not decide.
 
     The form comes from one integer kernel (Feller-Klug-Schirmer-Zemke).  For
     every trisection, FKSZ (arXiv:1711.04762) identify H2 with
@@ -95,21 +97,59 @@ def intersection_form(d: TrisectionDiagram) -> IntMatrix:
     beta to be a validated cut system, which every diagram built by
     ``parse``, ``cut_system`` or the moves is.  By Poincare duality the
     form's radical on H2 is exactly its torsion, so K / rad(Q_K) = H2 / Tors,
-    unimodular of size b2, whether or not H1 has torsion.  K is the rows of
-    U past the rank in N's Smith form U N V = D, a basis of the left kernel
-    of N, and ``d`` caches its alpha and gamma blocks with the divisors that
-    :func:`homology` reads.  With Q_K checked symmetric and U Q_K V = D its
-    Smith form, the rows of U past the rank span its two-sided kernel, so
-    U Q_K U^T = q ⊕ 0.  q, on the first rows of U, has Q_K's Smith
-    divisors: it is unimodular of size b2 iff they are b2 ones.  The Gram
-    matrix is a deterministic function of the diagram; only its congruence
-    class is an invariant, and :func:`diagram_form_invariants` reads that
-    class's rank, signature and parity off Q_K itself.  Refuses a
-    non-standard pair.
+    unimodular of size b2, whether or not H1 has torsion.  K is any basis of
+    N's left kernel; ``d`` caches its alpha and gamma blocks with N's
+    divisors, which :func:`homology` reads.  Q_K is checked symmetric, with
+    b2 Smith divisors, all 1.
+
+    Indefinite unimodular forms are determined by rank, signature and parity,
+    and definite ones of rank <= 8 are +-I_n or +-E8 (Serre, *A Course in
+    Arithmetic*, ch. V), so the result is :func:`_normal_form` of Q_K's
+    invariants.  A definite form of rank >= 9 (I_9 and E8 ⊕ <1> share them)
+    is B Q_K B^T instead, for B the pivot rows of the transform U of Q_K's
+    elimination: U's other rows span the kernel of the symmetric Q_K on both
+    sides, so U Q_K U^T = B Q_K B^T ⊕ 0, which has Q_K's divisors.  Refuses
+    a non-standard pair, and an even form whose signature is not divisible
+    by 8 (van der Blij).
     """
-    qk, divisors, u = _kernel_form(d, with_u=True)
-    basis = _matrix(u.rows[: len(divisors)], qk.nrows)
-    return basis @ (qk @ basis.transpose())
+    qk = _kernel_form(d)
+    form = _normal_form(form_invariants(qk))
+    if form is None:
+        pivots = _smith_divisors(_sparse_rows(qk), transforms=True)[1]
+        basis = _matrix(tuple(tuple(z.get(~j, 0) for j in range(qk.nrows)) for z in pivots), qk.nrows)
+        form = basis @ (qk @ basis.transpose())
+    return form
+
+
+# E8's Gram matrix: 2 on the diagonal and -1 on each edge of its Dynkin
+# diagram, the chain 1..7 with node 8 joined to node 5
+_E8_EDGES = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)}
+_E8 = tuple(
+    tuple(2 if i == j else -((i, j) in _E8_EDGES or (j, i) in _E8_EDGES) for j in range(1, 9)) for i in range(1, 9)
+)
+
+
+def _normal_form(inv: FormInvariants) -> IntMatrix | None:
+    """The Gram matrix of the unimodular form class with invariants ``inv``,
+    as a block sum: diag(1^p, (-1)^q) when odd; |sigma|/8 copies of E8 (of
+    -E8 when sigma < 0), then hyperbolic planes [[0, 1], [1, 0]], when even.
+    ``None`` for a definite form of rank >= 9.  An even form whose signature
+    is not divisible by 8 raises ``ArithmeticError``."""
+    rank, sig = inv.rank, inv.signature
+    if inv.parity == "even" and sig % 8:
+        raise ArithmeticError(f"even intersection form has signature {sig}, not divisible by 8, on this diagram")
+    if abs(sig) == rank > 8:
+        return None
+    if inv.parity == "odd":
+        blocks = [((1,),)] * ((rank + sig) // 2) + [((-1,),)] * ((rank - sig) // 2)
+    else:
+        e8 = _E8 if sig > 0 else tuple(tuple(-x for x in row) for row in _E8)
+        blocks = [e8] * (abs(sig) // 8) + [((0, 1), (1, 0))] * ((rank - abs(sig)) // 2)
+    rows, at = [], 0
+    for block in blocks:
+        rows += [(0,) * at + row + (0,) * (rank - at - len(row)) for row in block]
+        at += len(block)
+    return _matrix(tuple(rows), rank)
 
 
 def diagram_form_invariants(d: TrisectionDiagram) -> FormInvariants:
@@ -117,10 +157,10 @@ def diagram_form_invariants(d: TrisectionDiagram) -> FormInvariants:
 
     U Q_K U^T = q ⊕ 0 with U unimodular (see :func:`intersection_form`), so
     Q_K is congruent to the form plus zeros, which add nothing to the rank
-    and signature and keep the parity.  The same checks run, on Q_K's
-    divisors alone: no U and no Gram matrix is built.
+    and signature and keep the parity.  Q_K's checks run, on its divisors
+    alone: no Gram matrix is built.
     """
-    return form_invariants(_kernel_form(d)[0])
+    return form_invariants(_kernel_form(d))
 
 
 @dataclass(frozen=True)

@@ -157,11 +157,11 @@ def ladder_diagram(genus, seed):
 
 def test_genus_32_form_and_invariants_pinned():
     # a large form, built in code (not a fixture, so it stays out of the
-    # mutation corpus below), pinned by the SHA-256 of the two reports: a
-    # 28 x 28 Gram matrix and H1 = Z^4, b2 = 28, signature 4, odd
+    # mutation corpus below), pinned by the SHA-256 of the two reports: the
+    # normal form diag(1^16, (-1)^12) and H1 = Z^4, b2 = 28, signature 4, odd
     text = serialize(ladder_diagram(32, seed=32))
     expected = {
-        "form": "77bd960f31b4b89518f5848ec418393fca2e7bb5a7383e8d7b6128683c60a9d8",
+        "form": "b4f95a7321907c2bdd1eb949211efc6d4845b74494450149d0210a20b780c08b",
         "invariants": "a33e5c1cec2be16fe6bdc43e3e6181c1ac770b850929028a6496a3b5de4efcd9",
     }
     for command, digest in expected.items():

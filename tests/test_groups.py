@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import trisect.groups as groups
 from conftest import FIXTURES, moved_diagrams
+from dense_reference import reference_smith
 from trisect.diagrams import (
     FAMILY_NAMES,
     CutSystem,
@@ -47,7 +48,7 @@ from trisect.groups import (
     tietze_simplify,
     verify_cube,
 )
-from trisect.intmatrix import IntMatrix, _smith, quotient_invariants
+from trisect.intmatrix import IntMatrix, quotient_invariants
 from trisect.invariants import (
     DEFAULT_TIETZE_BUDGET,
     VERDICT_TRIVIAL_PI1,
@@ -1102,7 +1103,7 @@ def in_rowspan(m, vec):
     """Is ``vec`` an integer combination of the rows of ``m``?  With
     U m^T V = D the Smith form of m^T, x m = vec has an integer solution iff
     entry i of U vec^T is divisible by d_i below the rank and 0 past it."""
-    divisors, u = _smith(m.transpose(), with_u=True)
+    divisors, u = reference_smith(m.transpose(), ("u",))
     uv = [sum(a * b for a, b in zip(row, vec)) for row in u.rows]
     return all(x % p == 0 for x, p in zip(uv, divisors)) and not any(uv[len(divisors) :])
 

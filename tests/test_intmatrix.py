@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import trisect.intmatrix as intmatrix_module
 from conftest import FIXTURES, determinant
+from dense_reference import hermite_form, reference_smith, transform
 from trisect.diagrams import InvalidCutSystemError, NotHomologicallyStandard
 from trisect.intmatrix import (
     IntMatrix,
     _matrix,
     _pairing,
-    _smith,
     _smith_divisors,
     _sparse_rows,
     quotient_invariants,
@@ -88,13 +88,26 @@ def diagonal(divisors, nrows, ncols):
     return IntMatrix(rows, ncols)
 
 
+def assert_transforms(m):
+    """``_smith_divisors``'s divisors, the same with and without transforms,
+    and its transform rows: the pivot rows and the emptied rows together
+    are a unimodular U, there are as many pivot rows as divisors, and the
+    emptied rows kill ``m``, so they are a basis of its left kernel."""
+    divisors = _smith_divisors(_sparse_rows(m))
+    got, pivots, kernel = _smith_divisors(_sparse_rows(m), transforms=True)
+    assert got == divisors and len(pivots) == len(divisors)
+    assert determinant(transform(pivots + kernel, m.nrows)) in (1, -1)
+    assert all(k < 0 for z in kernel for k in z)
+    assert not any(map(any, (transform(kernel, m.nrows) @ m).rows))
+    return divisors
+
+
 def assert_snf_contract(m):
     """U·M = D·V⁻¹ with U, V⁻¹ unimodular and D = diag(d1 | d2 | ...), d_i > 0,
-    checked on ``reference_smith``, which keeps V⁻¹; ``_smith`` returns the
-    same divisors, and the same U when asked for it."""
+    checked on ``reference_smith``, which keeps V⁻¹; ``_smith_divisors``
+    returns the same divisors and a valid U (:func:`assert_transforms`)."""
     divisors, u, vinv = reference_smith(m, TRANSFORMS)
-    assert _smith(m, with_u=True) == (divisors, u)
-    assert _smith(m) == (divisors, None)
+    assert assert_transforms(m) == divisors
     d = diagonal(divisors, m.nrows, m.ncols)
     assert u @ m == d @ vinv
     assert determinant(u) in (1, -1)
@@ -120,14 +133,13 @@ def test_snf_identity():
 
 def test_snf_zero_matrix():
     m = IntMatrix([[0, 0, 0], [0, 0, 0]])
-    assert _smith(m)[0] == ()
+    assert _smith_divisors(_sparse_rows(m)) == ()
     assert assert_snf_contract(m) == []
 
 
 def test_snf_empty_shapes():
     for m, eye in ((IntMatrix([], ncols=0), IntMatrix([], ncols=0)), (IntMatrix([], ncols=3), EYE3)):
-        divisors, u = _smith(m, with_u=True)
-        assert divisors == () and u == IntMatrix([], ncols=0)
+        assert _smith_divisors(_sparse_rows(m), transforms=True) == ((), [], [])
         assert reference_smith(m, TRANSFORMS)[2] == eye
         assert_snf_contract(m)
 
@@ -228,9 +240,9 @@ def small_matrices(draw, max_dim=4, bound=6):
 @settings(max_examples=150)
 @given(small_matrices())
 def test_smith_divisors_match_minor_oracle(m):
-    divisors = _smith(m)[0]
+    divisors = _smith_divisors(_sparse_rows(m))
     assert list(divisors) == minor_gcd_divisors(m)
-    assert _smith_divisors(_sparse_rows(m)) == divisors
+    assert reference_smith(m)[0] == divisors
     free, torsion = quotient_invariants(m.ncols, m)
     assert free == m.ncols - len(divisors)
     assert torsion == tuple(x for x in divisors if x > 1)
@@ -245,7 +257,7 @@ def test_smith_divisors_match_sympy():
     def check(m):
         ref = sympy_snf(sympy.Matrix(m.nrows, m.ncols, list(chain(*m.rows))), domain=sympy.ZZ)
         ref_diag = [abs(int(ref[i, i])) for i in range(min(m.nrows, m.ncols))]
-        assert list(_smith(m)[0]) == [x for x in ref_diag if x]
+        assert list(reference_smith(m)[0]) == [x for x in ref_diag if x]
         assert list(_smith_divisors(_sparse_rows(m))) == [x for x in ref_diag if x]
 
     check()
@@ -254,9 +266,10 @@ def test_smith_divisors_match_sympy():
 @settings(max_examples=80)
 @given(small_matrices(max_dim=5))
 def test_smith_requested_transforms(m):
-    # _smith builds U only on request, and asking for it changes no divisor;
     # in the reference no transform depends on which others are kept, so the
-    # contract checked with V^-1 holds for the U that _smith returns
+    # contract checked with V^-1 holds for the U it returns alone; the
+    # package's routine builds transforms only on request, and asking for
+    # them changes no divisor
     full = dict(zip(TRANSFORMS, reference_smith(m, TRANSFORMS)[1:]))
     u, vinv = (full[name] for name in TRANSFORMS)
     divisors = reference_smith(m)[0]
@@ -269,8 +282,7 @@ def test_smith_requested_transforms(m):
             assert got[0] == divisors
             assert got[1:] == tuple(full[name] for name in want)
     assert reference_smith(m, ("vinv", "u"))[1:] == (vinv, u)
-    assert _smith(m) == (divisors, None)
-    assert _smith(m, with_u=True) == (divisors, u)
+    assert assert_transforms(m) == divisors
 
 
 def test_public_constructor_checks_shape():
@@ -400,118 +412,22 @@ def test_pairing_matches_symplectic_pairing(case):
     assert all(type(x) is int for row in got for x in row)
 
 
-def reference_smith(mat: IntMatrix, want: tuple[str, ...] = ()) -> tuple:
-    """The dense Smith routine that ``_smith`` replaced, kept verbatim as the
-    reference for its divisors and U, and as the one routine that still
-    returns V^-1 for the full contract U*mat = D*V^-1.
-
-    Smith normal form of ``mat``, tracking only the transforms in ``want``.
-
-    Returns ``(divisors, *transforms)``: the nonzero diagonal d1 | d2 | ...
-    of D (its length is the rank), then the transforms ``want`` names, in
-    its order, out of "u" and "vinv": unimodular U and the inverse of a
-    unimodular V with U*mat*V = D, that is U*mat = D*V^-1.  A transform not
-    asked for is never updated.  Pivots are chosen by smallest nonzero
-    absolute value, ties broken by lowest row then column, so the output is
-    deterministic and a transform does not depend on which others were
-    asked for.
-    """
-    m, n = mat.nrows, mat.ncols
-    d = [list(r) for r in mat.rows]
-
-    def eye(name, k):
-        return [[int(i == j) for j in range(k)] for i in range(k)] if name in want else None
-
-    # U and V^-1 take row operations: a column operation on D is the
-    # inverse row operation on V^-1.
-    u, vinv = eye("u", m), eye("vinv", n)
-    by_rows = [x for x in (d, u) if x is not None]
-
-    def axpy(rows, i, j, q):  # rows[i] += q * rows[j]
-        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-
-    def row_swap(i, j):
-        for x in by_rows:
-            x[i], x[j] = x[j], x[i]
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        axpy(d, i, j, q)
-        if u is not None:
-            axpy(u, i, j, q)
-
-    def row_negate(i):
-        for x in by_rows:
-            x[i] = [-e for e in x[i]]
-
-    def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        if vinv is not None:
-            vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for r in d:
-            r[i] += q * r[j]
-        if vinv is not None:
-            axpy(vinv, j, i, -q)
-
-    def find_pivot(t):
-        best, at = 0, None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                e = row[j]
-                if e and (not best or abs(e) < best):
-                    best, at = abs(e), (i, j)
-                    if best == 1:  # nothing smaller, and later ties lose
-                        return at
-        return at
-
-    t = 0
-    while t < min(m, n):
-        pivot = find_pivot(t)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != t:
-                row_swap(i, t)
-            if j != t:
-                col_swap(j, t)
-            if d[t][t] < 0:
-                row_negate(t)
-            p = d[t][t]
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    row_add(i, t, -(d[i][t] // p))
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    col_add(j, t, -(d[t][j] // p))
-            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
-                pivot = find_pivot(t)  # leftover remainders become the next, smaller pivot
-                continue
-            if p == 1:  # 1 divides everything: no row can be non-divisible
-                break
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
-            if bad is None:
-                break
-            row_add(t, bad, 1)  # pull the offending row up so gcd reduction kicks in
-            pivot = find_pivot(t)
-        t += 1
-    tracked = {"u": u, "vinv": vinv}
-    out = [tuple(d[i][i] for i in range(t))]
-    for name in want:
-        out.append(_matrix(tuple(map(tuple, tracked[name])), len(tracked[name])))
-    return tuple(out)
+def assert_matches_reference(m):
+    """The divisors of the dense reference, and a valid U whose emptied rows
+    have the Hermite form of the rows of the reference's U past the rank."""
+    divisors, u = reference_smith(m, ("u",))
+    assert assert_transforms(m) == divisors
+    kernel = _smith_divisors(_sparse_rows(m), transforms=True)[2]
+    assert hermite_form(transform(kernel, m.nrows).rows, m.nrows) == hermite_form(u.rows[len(divisors) :], m.nrows)
 
 
 @settings(max_examples=200)
 @given(st.one_of(small_matrices(max_dim=6), product_operands().map(lambda ab: ab[0])))
 def test_smith_matches_reference_smith(m):
-    # the same divisors and the same U, so a Gram matrix built from them
-    # cannot drift
-    assert _smith(m, with_u=True) == reference_smith(m, ("u",))
-    assert _smith(m)[0] == reference_smith(m)[0]
+    # the same divisors as the dense reference, and transforms whose
+    # emptied rows span the same kernel lattice as the rows of its U past
+    # the rank
+    assert_matches_reference(m)
 
 
 def test_smith_matches_reference_smith_random():
@@ -519,9 +435,7 @@ def test_smith_matches_reference_smith_random():
     # dense random matrices, so sweep many of them
     rng = random.Random(15)
     for _ in range(1500):
-        m = random_matrix(rng, max_dim=7, bound=6)
-        assert _smith(m, with_u=True) == reference_smith(m, ("u",))
-        assert _smith(m)[0] == reference_smith(m)[0]
+        assert_matches_reference(random_matrix(rng, max_dim=7, bound=6))
 
 
 # entries of curve and pair matrices: mostly zeros, then units, a few others
@@ -562,11 +476,9 @@ def unit_after_non_unit(draw):
 @given(st.one_of(package_shaped(), unit_after_non_unit()))
 @example(IntMatrix([[1, 0, 0], [0, 2, 3], [0, 3, 5]]))
 def test_smith_matches_reference_on_package_shapes(m):
-    # a unit pivot clears only its own row in the column phase, and column
-    # operations walk only the rows from t down: the divisors and U must
-    # still be the dense routine's
-    assert _smith(m, with_u=True) == reference_smith(m, ("u",))
-    assert _smith(m)[0] == reference_smith(m)[0]
+    # unit pivots first, then general steps on the rows with no unit entry:
+    # the divisors and the kernel lattice must still be the dense routine's
+    assert_matches_reference(m)
 
 
 # entries of the sparse divisor routine's inputs: mostly zeros and units,
@@ -594,9 +506,9 @@ def sparse_matrices(draw):
 @example(IntMatrix([[2, 4, 0], [0, 0, 0], [6, 10**30, 2]]))  # no unit anywhere
 @example(IntMatrix([[1, 2, 3], [2, 6, 6], [3, 6, 13]]))  # a unit pivot leaves 2 and 4 behind
 def test_sparse_smith_divisors_match_dense(m):
-    # divisors are invariants, so the sparse unit sweep and its remainder
+    # divisors are invariants, so the sparse unit sweep and its general steps
     # must give the dense elimination's, from dense or pair rows alike
-    divisors = _smith(m)[0]
+    divisors = reference_smith(m)[0]
     assert _smith_divisors(_sparse_rows(m)) == divisors
     pairs = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in m.rows)
     assert _smith_divisors(pairs) == divisors
@@ -605,23 +517,24 @@ def test_sparse_smith_divisors_match_dense(m):
 
 def test_remainder_path_runs_on_refused_fixtures(monkeypatch):
     # an imprimitive cut system and a pair with torsion have no unit pivot
-    # left for their divisor 2: the dense routine takes the remainder
-    shapes = []
-    real = intmatrix_module._smith
+    # for their divisor 2: a general step takes it, and each general step
+    # starts with the one least-entry search, the module's only ``min`` call
+    searches = []
 
-    def counted(m, **kw):
-        shapes.append((m.nrows, m.ncols))
-        return real(m, **kw)
+    def counted(candidates, key):
+        candidates = list(candidates)
+        searches.append(len(candidates))
+        return min(candidates, key=key)
 
-    monkeypatch.setattr(intmatrix_module, "_smith", counted)
+    monkeypatch.setattr(intmatrix_module, "min", counted, raising=False)
     with pytest.raises(InvalidCutSystemError) as exc:
         parse((FIXTURES / "invalid_imprimitive.tri").read_text())
     assert (exc.value.reason, exc.value.divisors) == ("imprimitive", (2,))
-    assert shapes == [(1, 1)]
-    shapes.clear()
+    assert searches == [1]
+    searches.clear()
     d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
-    assert shapes == []
+    assert searches == []
     with pytest.raises(NotHomologicallyStandard) as err:
         k_triple(d)
     assert err.value.divisors == (2,)
-    assert shapes == [(1, 1)]
+    assert searches == [1]

@@ -26,8 +26,9 @@ from trisect.diagrams import (
     standard_diagram,
 )
 from test_cli_main import ladder_diagram
+from dense_reference import dense, hermite_form, reference_smith
 from test_intmatrix import symplectic_form
-from trisect.intmatrix import IntMatrix, _smith, quotient_invariants, symplectic_pairing
+from trisect.intmatrix import IntMatrix, quotient_invariants, symplectic_pairing
 from trisect.invariants import (
     FormInvariants,
     NotHomologicallyStandard,
@@ -100,23 +101,26 @@ class TestPairK:
 
     def test_curve_smith_form_computed_once_per_diagram(self, monkeypatch):
         # homology and intersection_form share the divisors and kernel blocks
-        # of one Smith form of the 2g x g matrix N of beta's pairings, cached
-        # on the diagram; no 3g x 2g stacked curve matrix is reduced
+        # of one elimination of the 2g x g matrix N of beta's pairings, cached
+        # on the diagram; no 3g x 2g stacked curve matrix is reduced, and
+        # only N's elimination builds transforms
         d = parse((FIXTURES / "cp2_sum_cp2bar.tri").read_text())
-        shapes = []
-        real = intmatrix_module._smith
+        calls = []
+        real = intmatrix_module._smith_divisors
 
-        def counted(m, **kw):
-            shapes.append((m.nrows, m.ncols))
-            return real(m, **kw)
+        def counted(rows, transforms=False):
+            rows = [tuple(r) for r in rows]
+            calls.append((len(rows), max((k + 1 for r in rows for k, _ in r), default=0), transforms))
+            return real(rows, transforms)
 
-        for module in (diagrams_module, invariants_module):  # N's Smith form, then Q_K's
-            monkeypatch.setattr(module, "_smith", counted)
+        for module in (diagrams_module, invariants_module):  # N's elimination, then Q_K's divisors
+            monkeypatch.setattr(module, "_smith_divisors", counted)
         first = homology(d)
         intersection_form(d)
         assert homology(d) == first
-        assert shapes.count((2 * d.genus, d.genus)) == 1
-        assert (3 * d.genus, 2 * d.genus) not in shapes
+        assert calls.count((2 * d.genus, d.genus, True)) == 1
+        assert [c for c in calls if c[2]] == [(2 * d.genus, d.genus, True)]
+        assert not any(c[:2] == (3 * d.genus, 2 * d.genus) for c in calls)
 
     def test_nonstandard_pair_raises_on_every_call(self):
         d = parse((FIXTURES / "nonstandard_pair.tri").read_text())
@@ -227,22 +231,24 @@ class TestPairKMatchesStackedReference:
             assert _outcome(pair_k, h)[1] == (2,)
 
     def test_k_triple_takes_no_stacked_smith_form(self, monkeypatch):
-        # one divisor call per g x g pair matrix, on its sparse rows; unit
-        # pivots take every row, so no dense Smith form runs
+        # one divisor call per g x g pair matrix, on its sparse rows, with no
+        # transforms; unit pivots take every row, so no general step runs
+        # (each starts with the module's one ``min`` call, the least-entry
+        # search)
         d = slide_family(connected_sum(standard_diagram("CP2"), standard_diagram("S1xS3")), "beta", 1, 0)
-        shapes, dense = [], []
+        shapes, general = [], []
         real = intmatrix_module._smith_divisors
 
-        def counted(rows):
+        def counted(rows, transforms=False):
             rows = [tuple(r) for r in rows]
-            shapes.append((len(rows), max((k + 1 for r in rows for k, _ in r), default=0)))
-            return real(rows)
+            shapes.append((len(rows), max((k + 1 for r in rows for k, _ in r), default=0), transforms))
+            return real(rows, transforms)
 
         monkeypatch.setattr(intmatrix_module, "_smith_divisors", counted)
-        monkeypatch.setattr(intmatrix_module, "_smith", lambda *a, **kw: dense.append(a))
+        monkeypatch.setattr(intmatrix_module, "min", lambda *a, **kw: general.append(a) or min(*a, **kw), raising=False)
         assert k_triple(d) == (1, 1, 1)
-        assert len(shapes) == 3 and all(r == d.genus and c <= d.genus for r, c in shapes)
-        assert dense == []
+        assert len(shapes) == 3 and all(r == d.genus and c <= d.genus and not t for r, c, t in shapes)
+        assert general == []
 
 
 def _forged_gamma():
@@ -370,7 +376,7 @@ def dense_kernel_form(d):
     g = d.genus
     la, lb, lc = d.alpha.matrix(), d.beta.matrix(), d.gamma.matrix()
     sides = IntMatrix([[-c for c in r] for r in la.rows] + list(lc.rows), 2 * g)
-    divisors, u = _smith(sides @ symplectic_form(g) @ lb.transpose(), with_u=True)
+    divisors, u = reference_smith(sides @ symplectic_form(g) @ lb.transpose(), ("u",))
     kern = IntMatrix(u.rows[len(divisors) :], 2 * g)
     lifts = kern @ sides
     alpha_parts = IntMatrix([[-c for c in z[:g]] for z in kern.rows], g) @ la
@@ -383,7 +389,7 @@ def stacked_kernel_form(d):
     lifts x = z_beta L_beta with alpha-part -z_alpha L_alpha."""
     g = d.genus
     la, lb = d.alpha.matrix(), d.beta.matrix()
-    divisors, u = _smith(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g), with_u=True)
+    divisors, u = reference_smith(IntMatrix(lb.rows + la.rows + d.gamma.matrix().rows, 2 * g), ("u",))
     kern = u.rows[len(divisors) :]
     lifts = IntMatrix([z[:g] for z in kern], g) @ lb
     alpha_parts = IntMatrix([[-c for c in z[g : 2 * g]] for z in kern], g) @ la
@@ -394,9 +400,22 @@ def reference_form(d):
     """The dense Q_K on the complement of its radical spanned by the first
     rows of U in its Smith form."""
     qk = dense_kernel_form(d)
-    divisors, u = _smith(qk, with_u=True)
+    divisors, u = reference_smith(qk, ("u",))
     basis = IntMatrix(u.rows[: len(divisors)], qk.nrows)
     return basis @ qk @ basis.transpose()
+
+
+def normal_form(inv):
+    """The normal form that README Conventions fix, built here from its
+    blocks: diag(1^p, (-1)^q) when odd; |sigma|/8 copies of +-E8, then
+    hyperbolic planes, when even.  ``None`` for a definite form of rank >= 9."""
+    rank, sig = inv.rank, inv.signature
+    if abs(sig) == rank > 8:
+        return None
+    if inv.parity == "odd":
+        return _direct_sum(*[IntMatrix([[1]])] * ((rank + sig) // 2), *[IntMatrix([[-1]])] * ((rank - sig) // 2))
+    e8 = E8 if sig >= 0 else IntMatrix([[-x for x in row] for row in E8.rows])
+    return _direct_sum(*[e8] * (abs(sig) // 8), *[HYPERBOLIC] * ((rank - abs(sig)) // 2))
 
 
 class TestFormReference:
@@ -404,30 +423,94 @@ class TestFormReference:
     @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
     def test_beta_kernel_is_the_reference_kernel(self, d1, d2):
         # N's cache holds the divisors of a reference Smith form of N, built
-        # from the dense rows, and the alpha and gamma blocks of the rows of
-        # its U past the rank
+        # from the dense rows, and the alpha and gamma blocks of a basis of
+        # the lattice that the rows of its U past the rank span
         for d in (d1, connected_sum(d1, d2)):
             g = d.genus
             a, b, c = (s.matrix().rows for s in d.families())
             n = [[symplectic_pairing(y, x, g) for y in b] for x in a]
             n += [[symplectic_pairing(z, y, g) for y in b] for z in c]
-            divisors, u = _smith(IntMatrix(n, g), with_u=True)
-            kern = u.rows[len(divisors) :]
-            blocks = IntMatrix([z[:g] for z in kern], g), IntMatrix([z[g:] for z in kern], g)
-            assert d._beta_kernel == (divisors, *blocks)
+            divisors, u = reference_smith(IntMatrix(n, g), ("u",))
+            got, k_alpha, k_gamma = d._beta_kernel
+            assert got == divisors
+            kernel = [za + zg for za, zg in zip(dense(k_alpha, g).rows, dense(k_gamma, g).rows)]
+            assert len(kernel) == 2 * g - len(divisors)
+            assert hermite_form(kernel, 2 * g) == hermite_form(u.rows[len(divisors) :], 2 * g)
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
     def test_moved_and_summed(self, d1, d2):
-        # the kept alpha-gamma matrix pulled back to N's kernel is the same
-        # integer matrix as the dense product through J of the lifts in
-        # L_beta; the stacked kernel is another basis of the same lattice,
-        # so only the invariants of its Q_K agree
+        # the printed form is the normal form of the invariants of the dense
+        # Q_K, which is the dense product through J of the lifts in L_beta
+        # on the complement of its radical; the stacked kernel is another
+        # basis of the same lattice, so the invariants of its Q_K agree
         for d in (d1, connected_sum(d1, d2)):
             q = intersection_form(d)
-            assert q == reference_form(d)
+            ref = reference_form(d)
+            assert abs(determinant(ref)) == 1
+            assert q == normal_form(reference_form_invariants(ref))
             assert form_invariants(q) == form_invariants(dense_kernel_form(d))
             assert form_invariants(q) == form_invariants(stacked_kernel_form(d))
+
+
+def assert_prints_normal_form(d):
+    """The printed form is symmetric and unimodular, and it is the normal
+    form of the invariants of the dense Q_K; swapping alpha and beta reverses
+    the orientation, so the swapped diagram prints the form with -sigma."""
+    q = intersection_form(d)
+    assert q == q.transpose()
+    assert abs(determinant(q)) == 1
+    inv = reference_form_invariants(dense_kernel_form(d))
+    assert q == normal_form(inv)
+    swapped = TrisectionDiagram(d.genus, d.beta, d.alpha, d.gamma)
+    assert intersection_form(swapped) == normal_form(FormInvariants(inv.rank, -inv.signature, inv.parity))
+
+
+class TestNormalForm:
+    def test_raw_population(self, raw_population):
+        for d in raw_population:
+            assert_prints_normal_form(d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(moved_diagrams(torsion=True), moved_diagrams(torsion=True))
+    def test_moved_and_summed(self, d1, d2):
+        for d in (d1, connected_sum(d1, d2)):
+            assert_prints_normal_form(d)
+
+    def test_e8_and_hyperbolic_blocks(self):
+        # the blocks of an even form, in README's order: E8 copies first
+        assert normal_form(FormInvariants(8, 8, "even")) == E8
+        assert normal_form(FormInvariants(10, -8, "even")).rows[8:] == ((0,) * 8 + (0, 1), (0,) * 8 + (1, 0))
+        for inv in (FormInvariants(8, 8, "even"), FormInvariants(12, -8, "even"), FormInvariants(5, -1, "odd")):
+            assert invariants_module._normal_form(inv) == normal_form(inv)
+            assert form_invariants(normal_form(inv)) == inv
+
+    @pytest.mark.parametrize("name, sign", [("CP2", 1), ("CP2BAR", -1)])
+    def test_definite_rank_9_falls_back_to_a_computed_basis(self, name, sign, monkeypatch):
+        # I_9 and E8 + <1> share rank, signature and parity, so the form is
+        # Q_K on the pivot rows of its elimination's transform: symmetric,
+        # unimodular and with the diagram's invariants
+        rng = random.Random(9)
+        d = standard_diagram(name)
+        for _ in range(8):
+            d = connected_sum(d, standard_diagram(name))
+        for t in range(18):
+            i, j = rng.sample(range(9), 2)
+            conj = tuple(rng.choice((1, -1)) * token_code(rng.choice("ab"), rng.randint(1, 9)) for _ in range(2))
+            d = slide_family(d, ("alpha", "beta", "gamma")[t % 3], i, j, conj, rng.choice((1, -1)))
+        calls = []
+        real = intmatrix_module._smith_divisors
+        def counted(rows, transforms=False):
+            calls.append(transforms)
+            return real(rows, transforms)
+
+        monkeypatch.setattr(invariants_module, "_smith_divisors", counted)
+        q = intersection_form(d)
+        assert calls == [False, True]  # the unimodularity check, then the fallback's basis
+        assert q == q.transpose() and q.nrows == 9
+        assert determinant(q) == sign  # (+-1)^9
+        assert form_invariants(q) == diagram_form_invariants(d) == FormInvariants(9, 9 * sign, "odd")
+        assert normal_form(form_invariants(q)) is None
 
 
 def test_raw_population_caches_agree_in_either_order_and_h1_is_abelianized_pi1(raw_population):
@@ -501,6 +584,21 @@ class TestFormRuntimeChecks:
 
         self.forge(monkeypatch, d, bump)
         self.assert_refused(monkeypatch, capsys, d, "not symmetric")
+
+    def test_van_der_blij(self, monkeypatch, capsys):
+        # an even unimodular form has signature divisible by 8, so a forged
+        # even form of signature 2 has no normal form: the form's route
+        # refuses, and the CLI's form exits 1 with one error line; the public
+        # form_invariants keeps no such check, as [[2]] is even with sigma 1
+        d = standard_diagram("S2xS2")
+        monkeypatch.setattr(invariants_module, "form_invariants", lambda q: FormInvariants(2, 2, "even"))
+        message = "even intersection form has signature 2, not divisible by 8, on this diagram"
+        with pytest.raises(ArithmeticError, match=message):
+            intersection_form(d)
+        monkeypatch.setattr(cli, "_read_trisection", lambda path: d)
+        assert cli.main(["form", "forged.tri"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert form_invariants(IntMatrix([[2]])) == FormInvariants(1, 1, "even")
 
 
 def _e8_form():
@@ -679,14 +777,14 @@ def test_form_invariants_match_reference(case):
 def test_form_invariants_match_reference_on_raw_population(raw_population):
     # Q_K and the Gram matrix of diagrams built from raw curve words
     for d in raw_population:
-        for q in (invariants_module._kernel_form(d)[0], intersection_form(d)):
+        for q in (invariants_module._kernel_form(d), intersection_form(d)):
             assert form_invariants(q) == reference_form_invariants(q), serialize(d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(moved_diagrams(torsion=True))
 def test_form_invariants_match_reference_on_moved_diagrams(d):
-    for q in (invariants_module._kernel_form(d)[0], intersection_form(d)):
+    for q in (invariants_module._kernel_form(d), intersection_form(d)):
         assert form_invariants(q) == reference_form_invariants(q)
     assert diagram_form_invariants(d) == form_invariants(intersection_form(d))
 

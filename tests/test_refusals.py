@@ -23,6 +23,12 @@ REFUSALS = [
         lambda: Presentation(2, (), names=("x1",)), ValueError, "need one name per generator", id="name-count"
     ),
     pytest.param(
+        lambda: Presentation(2, (), names="ab"),
+        TypeError,
+        "names 'ab' is one str, not a sequence of names",
+        id="names-str",
+    ),
+    pytest.param(
         lambda: Presentation(1, ((),)), ValueError, "empty relator (builders drop these)", id="empty-relator"
     ),
     pytest.param(

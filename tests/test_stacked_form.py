@@ -4,10 +4,11 @@ against the earlier computation on the 3g x 2g stacked curve matrix.
 ``stacked_homology`` and ``stacked_intersection_form`` are copies of the
 stacked code that the package used before, kept here as the reference;
 the reference pairs curve rows through ``symplectic_pairing``, so it shares
-no code with the package's pairing.  Homology and the form's invariants
-must agree on every diagram; the Gram matrix may differ (the kernel basis
-is another one), so it is checked to be a symmetric unimodular matrix of
-size b2.
+no code with the package's pairing, and it takes its Smith forms from the
+tests' dense ``reference_smith``.  Homology and the form's invariants must
+agree on every diagram; the package prints a normal form and the reference
+a Gram matrix in its own basis, so the printed matrix is checked to be a
+symmetric unimodular matrix of size b2.
 """
 
 import random
@@ -15,8 +16,9 @@ import random
 from hypothesis import given, settings
 
 from conftest import FIXTURES, LIBRARY_BUILDERS, determinant, moved_diagrams
+from dense_reference import reference_smith
 from trisect.diagrams import FAMILY_NAMES, connected_sum, slide_family, stabilize
-from trisect.intmatrix import _matrix, _smith, symplectic_pairing
+from trisect.intmatrix import _matrix, symplectic_pairing
 from trisect.invariants import euler_characteristic, form_invariants, homology, intersection_form
 from trisect.textio import parse
 from trisect.words import token_code
@@ -31,9 +33,8 @@ def stacked_homology(d):
 
 def _stacked_curve_smith(d):
     """``(divisors, U)`` of the stacked curve matrix [L_beta; L_alpha; L_gamma]."""
-    return _smith(
-        _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus),
-        with_u=True,
+    return reference_smith(
+        _matrix(d.beta.matrix().rows + d.alpha.matrix().rows + d.gamma.matrix().rows, 2 * d.genus), ("u",)
     )
 
 
@@ -51,7 +52,7 @@ def stacked_intersection_form(d):
     qk = k_beta @ (m @ k_alpha.transpose())  # the sparse factor on the left of each product
     if qk != qk.transpose():
         raise ArithmeticError("intersection pairing is not symmetric on this diagram")
-    divisors, u = _smith(qk, with_u=True)
+    divisors, u = reference_smith(qk, ("u",))
     b2 = chi - 2 + 2 * (len(kern) - g)  # K has rank 3g - (2g - b1)
     if len(divisors) != b2 or any(x != 1 for x in divisors):
         raise ArithmeticError("intersection form is not unimodular of rank b2 on this diagram")
