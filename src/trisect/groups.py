@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, filterfalse, permutations
+from itertools import chain, count, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import _free_and_torsion, _smith_divisors
@@ -233,29 +233,58 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     first and last letters cancel are reduced first.  S has at most n
     generators, so a budget of at least n kills each round's one-letter
     generators at once.  A smaller budget kills one largest generator per
-    step, until S or the budget is spent.
+    step, until S or the budget is spent.  The closure keeps the relators
+    in a list, and the generators of its one-letter relators in a set that
+    it updates as relators change rather than rescans: a round re-reduces
+    only the relators that hold a killed letter, and drops a killed
+    generator's one-letter relator without reducing it.  The list is made
+    distinct before its relators are canonicalized, as a set would be.
+
+    Each relator in the set has an id that it keeps while it stays, and the
+    search for a shortening skips each pair (u, v) of ids that has already
+    failed.  That is exact: ``_shorten`` is a pure function of (u, v), so a
+    failed pair fails again while both stay, and each step takes the first
+    success in its order, which skipping failures does not change.  A pair
+    is dropped when either relator leaves, so the memo holds at most one
+    entry per pair of relators in the set, and a lookup costs no hashing of
+    words.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     eliminated: set[int] = set()
     # relators are nonempty and freely reduced: only one whose ends cancel
     # needs a cyclic reduction, which leaves it nonempty
-    rels = {cyclic_reduce(r) if r[0] == -r[-1] else r for r in p.relators}
-    while len(eliminated) < budget and (kill := {abs(w[0]) for w in rels if len(w) == 1}):
-        if budget < p.num_generators:  # one kill per step, in the loop's own order
-            kill = {max(kill)}
+    rels = [cyclic_reduce(r) if r[0] == -r[-1] else r for r in p.relators]
+    ones = {abs(w[0]) for w in rels if len(w) == 1}
+    while ones and len(eliminated) < budget:
+        # below n, one kill per step, in the loop's own order
+        kill = {max(ones)} if budget < p.num_generators else ones
+        ones = ones - kill
         eliminated |= kill
         dead = kill | {-g for g in kill}
-        rels = {
-            w if dead.isdisjoint(w) else cyclic_reduce(filterfalse(dead.__contains__, w))
-            for w in rels
-        }
-        rels.discard(())
-    rels = {_canonical_rotation(w) for w in rels}
+        kept = []
+        for w in rels:
+            if dead.isdisjoint(w):
+                kept.append(w)
+            elif len(w) > 1 and (w := cyclic_reduce(filterfalse(dead.__contains__, w))):
+                kept.append(w)
+                if len(w) == 1:
+                    ones.add(abs(w[0]))
+        rels = kept
+    ids = count()
+    rels = dict(zip({_canonical_rotation(w) for w in set(rels)}, ids))
+    failed: dict[int, set[int]] = {}  # by the id of u, the ids of the v that failed to shorten it
+
+    def leave(w):  # w leaves the set, and each failed pair that it is in with it
+        i = rels.pop(w)
+        failed.pop(i, None)
+        for tried in failed.values():
+            tried.discard(i)
+
     for _ in range(budget - len(eliminated)):
-        order = sorted(rels, key=lambda w: (len(w), w))
+        order = sorted(rels.items(), key=lambda wi: (len(wi[0]), wi[0]))
         target = None
-        for r in order:
+        for r, _ in order:
             counts: dict[int, int] = {}
             for t in r:
                 counts[abs(t)] = counts.get(abs(t), 0) + 1
@@ -265,28 +294,35 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
                 break
         if target is not None:
             r, gen = target
-            rels.remove(r)
+            leave(r)
             pos = next(idx for idx, t in enumerate(r) if abs(t) == gen)
             r = r[pos:] + r[:pos]
             head, tail = r[0], r[1:]
             rep = invert_word(tail) if head > 0 else tail
             image = {gen: rep, -gen: invert_word(rep)}
-            rels = {
-                _canonical_rotation(cyclic_reduce([x for t in w for x in image.get(t, (t,))]))
-                if gen in w or -gen in w
-                else w
-                for w in rels
-            }
-            rels.discard(())
+            changed = [w for w in rels if gen in w or -gen in w]
+            for w in changed:
+                leave(w)
+            for w in changed:
+                if w := _canonical_rotation(cyclic_reduce([x for t in w for x in image.get(t, (t,))])):
+                    rels.setdefault(w, next(ids))
             eliminated.add(gen)
             continue
-        pairs = ((u, _shorten(u, v)) for u in order for v in order if u != v)
-        u, cand = next(((u, c) for u, c in pairs if c is not None), (None, None))
-        if u is None:
+        cand = None
+        for u, i in order:
+            tried = failed.setdefault(i, set())
+            for v, j in order:
+                if j != i and j not in tried:
+                    if (cand := _shorten(u, v)) is not None:
+                        break
+                    tried.add(j)
+            if cand is not None:
+                break
+        if cand is None:
             break
-        rels.remove(u)
-        rels.add(_canonical_rotation(cand))
-        rels.discard(())
+        leave(u)
+        if cand := _canonical_rotation(cand):
+            rels.setdefault(cand, next(ids))
     # numbering the survivors in order is monotone and commutes with
     # inversion, so it keeps each relator canonical and the order sorted
     survivors = [g for g in range(1, p.num_generators + 1) if g not in eliminated]
@@ -497,20 +533,21 @@ class CubeReport:
 
 
 def _check_edge(
-    source: str, target: str, images: tuple[Word, ...],
-    src: Presentation, tgt: Presentation, tgt_abelian: tuple[int, tuple[int, ...]],
+    source: str, target: str, images: tuple[Word, ...], src: Presentation,
+    nt: int, tgt_rows: tuple, tgt_abelian: tuple[int, tuple[int, ...]],
 ) -> EdgeCheck:
     """Surjectivity and relator check of the map ``source -> target`` with
     generator images ``images`` against its target's lattice.
 
-    With L the target's relator lattice, each test adds rows to L and
-    compares Z^n/L' with the target's abelianization ``tgt_abelian``.  A
-    zero row, or a copy of a target relator row, leaves L' = L, so when
-    every added row is of that kind the answer is ``tgt_abelian`` and no
-    Smith form is taken.
+    The target has ``nt`` generators, and its relator lattice L is spanned
+    by its exponent rows ``tgt_rows``, which the caller builds once per
+    vertex and also abelianizes to ``tgt_abelian``.  Each test adds rows to
+    L and compares Z^n/L' with ``tgt_abelian``.  A zero row, or a copy of a
+    target relator row, leaves L' = L, so when every added row is of that
+    kind the answer is ``tgt_abelian`` and no Smith form is taken.  Each
+    image is inverted once, not once per inverse letter of the source
+    relators.
     """
-    nt = tgt.num_generators
-    tgt_rows = _exponent_rows(tgt.relators)
     in_lattice = {(), *tgt_rows}
 
     def quotient(extra):
@@ -525,8 +562,10 @@ def _check_edge(
         free, torsion = quotient(_exponent_rows(images))
         surjectivity = "abelian" if free == 0 and not torsion else "failed"
 
+    inverses = tuple(map(invert_word, images))
+
     def image(r):  # left unreduced: cancellation keeps exponent sums
-        return [x for t in r for x in (images[t - 1] if t > 0 else invert_word(images[-t - 1]))]
+        return [x for t in r for x in (images[t - 1] if t > 0 else inverses[-t - 1])]
 
     # Z^n/L -> Z^n/L' is onto.  Finitely generated abelian groups are
     # Hopfian, so if the two have equal invariants the map is an isomorphism:
@@ -579,9 +618,11 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     ``Verified`` when they are identical.  Only on a mismatch is the reduced
     pushout abelianized: ``HomologicallyVerified`` when it agrees with the
     claimed vertex's abelianization (of its raw presentation; Tietze moves
-    keep the group), ``Failed`` when not.  Abelianizations of vertices and
-    Tietze forms are computed only for the edges and faces that need them,
-    at most once each per call.  A negative budget is a usage error
+    keep the group), ``Failed`` when not.  A vertex's exponent rows are
+    built once per call and serve both its abelianization and the lattice
+    tests of the edges into it.  Lattices and Tietze forms of vertices are
+    computed only for the edges and faces that need them, at most once
+    each per call.  A negative budget is a usage error
     (``ValueError``), even when the rules settle every face.  Missing or
     extra vertices or edges, and a map with the wrong number of images or an
     image letter that is not a generator of its target, raise
@@ -620,19 +661,22 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
         if n == nt and words == _identity_images(n):
             identities.add((e.source, e.target))
     relators = {name: set(p.relators) for name, p in v.items()}
-    # memos: each vertex abelianized and Tietze-reduced at most once, and
-    # only when needed (a result is a nonempty tuple or a Presentation, so
-    # never falsy)
-    abelian: dict[str, tuple[int, tuple[int, ...]]] = {}
+    # memos: each vertex's lattice (its exponent rows and their
+    # abelianization) and Tietze form at most once, and only when needed
+    # (a Tietze form is a Presentation, so never falsy)
+    lattices: dict[str, tuple[tuple, tuple[int, tuple[int, ...]]]] = {}
     reduced: dict[str, Presentation] = {}
 
-    def abelian_of(name):
-        return abelian.get(name) or abelian.setdefault(name, abelianize_presentation(v[name]))
+    def lattice_of(name):
+        if name not in lattices:
+            rows = _exponent_rows(v[name].relators)
+            lattices[name] = rows, _free_and_torsion(v[name].num_generators, _smith_divisors(rows))
+        return lattices[name]
 
     edge_checks = tuple(  # the table's keys are the edges, in the cube's order
         EdgeCheck(s, t, "exact", True)
         if (s, t) in identities and relators[s] <= relators[t]
-        else _check_edge(s, t, images[s, t], v[s], v[t], abelian_of(t))
+        else _check_edge(s, t, images[s, t], v[s], v[t].num_generators, *lattice_of(t))
         for s, t in images
     )
     face_checks = []
@@ -648,7 +692,7 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
             right = reduced.get(sink) or reduced.setdefault(sink, tietze_simplify(v[sink], budget))
             if (left.num_generators, left.relators) == (right.num_generators, right.relators):
                 status = "Verified"
-            elif abelianize_presentation(left) == abelian_of(sink):
+            elif abelianize_presentation(left) == lattice_of(sink)[1]:
                 status = "HomologicallyVerified"
             else:
                 status = "Failed"

@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import hashlib
+import io
 import operator
 import random
 import time
@@ -48,6 +51,7 @@ from trisect.groups import (
     tietze_simplify,
     verify_cube,
 )
+from trisect import cli
 from trisect.intmatrix import IntMatrix, quotient_invariants
 from trisect.invariants import (
     DEFAULT_TIETZE_BUDGET,
@@ -57,7 +61,7 @@ from trisect.invariants import (
     poincare_candidate_check,
 )
 from trisect.textio import parse, serialize
-from trisect.words import block_index, cyclic_reduce, invert_word
+from trisect.words import _exponent_rows, block_index, cyclic_reduce, invert_word
 
 
 def rel(*texts):
@@ -127,6 +131,24 @@ def one_letter_presentations(draw):
     short = draw(st.lists(st.lists(tokens, min_size=2, max_size=3), max_size=4))
     longer = draw(st.lists(st.lists(tokens, min_size=1, max_size=8), max_size=2))
     return presentation(n, draw(st.permutations(ones + short + longer)))
+
+
+@st.composite
+def shortening_presentations(draw):
+    """Relators that share a long piece: a square c c, and rotated or
+    inverted words c c d d.  Each letter occurs at least twice in each
+    relator, so no generator can be eliminated at first, and about half of
+    the examples take two or more shortening moves."""
+    n = draw(st.integers(1, 3))
+    tokens = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    c = draw(st.lists(tokens, min_size=2, max_size=5))
+    relators = [c + c]
+    for d in draw(st.lists(st.lists(tokens, max_size=3), min_size=1, max_size=3)):
+        w = c + c + d + d
+        s = draw(st.integers(0, len(w) - 1))
+        w = w[s:] + w[:s]
+        relators.append(list(invert_word(w)) if draw(st.booleans()) else w)
+    return presentation(n, draw(st.permutations(relators)))
 
 
 @st.composite
@@ -253,6 +275,37 @@ def reference_tietze(p, budget):
         rels = _normalize_relators(rels)
         steps += 1
     return n, tuple(rels), tuple(names)
+
+
+def assert_no_failed_pair_retried(p, budget):
+    """Run ``tietze_simplify(p, budget)`` and check that ``_shorten`` sees a
+    pair (u, v) again only after u or v has re-entered the relator set.  A
+    relator enters the set only as a ``_canonical_rotation`` result, so a
+    repeat with neither made in between is a pair retried while both
+    stayed.  Returns the number of shortening moves."""
+    events = []
+
+    def shorten(u, v, _fn=groups._shorten):
+        events.append(("pair", (u, v), cand := _fn(u, v)))
+        return cand
+
+    def rotation(w, _fn=groups._canonical_rotation):
+        events.append(("made", w := _fn(w), None))
+        return w
+
+    with mock.patch.object(groups, "_shorten", shorten), mock.patch.object(
+        groups, "_canonical_rotation", rotation
+    ):
+        tietze_simplify(p, budget)
+    tried, made = {}, {}
+    for k, (kind, key, cand) in enumerate(events):
+        if kind == "made":
+            made[key] = k
+            continue
+        if key in tried:
+            assert max(made.get(key[0], -1), made.get(key[1], -1)) > tried[key], key
+        tried[key] = k
+    return sum(cand is not None for kind, _, cand in events if kind == "pair")
 
 
 class TestPresentation:
@@ -534,7 +587,7 @@ class TestTietze:
         assert sum(len(r) for r in out.relators) < 7
 
     @settings(max_examples=200, deadline=None)
-    @given(presentations(), st.sampled_from((0, 1, 5, 1000)))
+    @given(st.one_of(presentations(), shortening_presentations()), st.sampled_from((0, 1, 5, 1000)))
     def test_matches_reference_loop(self, p, budget):
         q = tietze_simplify(p, budget)
         assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget)
@@ -601,6 +654,54 @@ class TestTietze:
                 calls.clear()
                 q = tietze_simplify(p, budget)
                 assert calls["rotation"] <= len(q.relators), budget
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(shortening_presentations(), presentations()), st.sampled_from((1, 5, 1000)))
+    def test_shortening_skips_pairs_that_failed_while_both_stay(self, p, budget):
+        assert_no_failed_pair_retried(p, budget) <= budget
+
+    def test_shortening_presentations_take_several_moves(self):
+        # c = (x2 x1)^-1: the square c c shortens both longer words, and
+        # three moves in all leave pairs that failed in the first step to
+        # the later ones
+        c = [-1, -2]
+        p = presentation(2, [c + c, c + c + [2, 2], c + c + [-1, -1]])
+        assert assert_no_failed_pair_retried(p, 1000) == 3
+        q = tietze_simplify(p, 1000)
+        assert (q.num_generators, q.relators, q.names) == reference_tietze(p, 1000)
+
+    def test_closure_drops_killed_one_letter_relators_unreduced(self, monkeypatch):
+        # S4 stabilized nine times, at a budget that kills in bulk and at
+        # budgets that kill one generator per step: a killed generator's
+        # one-letter relator is dropped as it is.  The only relators that
+        # reach cyclic_reduce and reduce to nothing are longer ones whose
+        # letters all die (the surface relator here), as the model counts
+        d = standard_diagram("S4")
+        for fam in FAMILY_NAMES * 3:
+            d = stabilize(d, fam)
+        empty = Counter()
+
+        def counted(w, _fn=groups.cyclic_reduce):
+            w = tuple(w)
+            empty["calls"] += not w
+            return _fn(w)
+
+        monkeypatch.setattr(groups, "cyclic_reduce", counted)
+        for p in (pi1_presentation(d), *build_cube(d).vertices.values()):
+            n = p.num_generators
+            for budget in (1000, n - 1, 1):
+                rels, killed, emptied = [cyclic_reduce(r) for r in p.relators], 0, 0
+                while killed < budget and (ones := {abs(w[0]) for w in rels if len(w) == 1}):
+                    ones = ones if budget >= n else {max(ones)}
+                    killed += len(ones)
+                    rels = [cyclic_reduce([t for t in w if abs(t) not in ones]) if len(w) > 1 else w
+                            for w in rels if len(w) > 1 or abs(w[0]) not in ones]
+                    emptied += rels.count(())
+                    rels = [w for w in rels if w]
+                assert any(len(r) == 1 for r in p.relators) == (killed > 0)
+                empty.clear()
+                tietze_simplify(p, budget)
+                assert empty["calls"] <= emptied, budget
 
     def test_shortening_reduces_its_result_once(self, monkeypatch):
         # no generator occurs once, so the one step shortens the 4-letter
@@ -900,7 +1001,7 @@ class TestCube:
     @staticmethod
     def count_work(monkeypatch, cube, budget):
         calls = Counter()
-        for name in ("tietze_simplify", "abelianize_presentation", "_smith_divisors"):
+        for name in ("tietze_simplify", "abelianize_presentation", "_smith_divisors", "_exponent_rows"):
 
             def counted(*args, _fn=getattr(groups, name), _name=name):
                 calls[_name] += 1
@@ -936,6 +1037,12 @@ class TestCube:
         # face, whose sink's abelianization is one of the first 2
         assert [f.status for f in touching].count("Failed") == 1
         assert calls["_smith_divisors"] == 2 + 2 + 1
+        # exponent rows: once for each of the two targets, serving both its
+        # abelianization and its edges' lattice tests; once for each image
+        # set a test reads (the sector -> total edge's generator images, and
+        # the relator images of all three edges); once for the Failed
+        # face's reduced pushout
+        assert calls["_exponent_rows"] == 2 + 1 + 3 + 1
 
     @settings(max_examples=40, deadline=None)
     @given(moved_diagrams(), st.sampled_from((0, 5, 1000)))
@@ -1129,6 +1236,12 @@ def reference_edge(e, src, tgt):
     return EdgeCheck(e.source, e.target, surjectivity, mapped)
 
 
+def target_lattice(tgt):
+    """The target's arguments to ``_check_edge``: its generator count, its
+    exponent rows and their abelianization."""
+    return tgt.num_generators, _exponent_rows(tgt.relators), abelianize_presentation(tgt)
+
+
 @st.composite
 def random_edges(draw):
     """A map from a random presentation on at most three generators, with
@@ -1151,7 +1264,7 @@ def test_check_edge_matches_membership_oracle(edge):
     # mapped by comparing the invariants of the target's abelianization with
     # those of its quotient by the images, against membership row by row
     e, src, tgt = edge
-    check = _check_edge(e.source, e.target, e.images, src, tgt, abelianize_presentation(tgt))
+    check = _check_edge(e.source, e.target, e.images, src, *target_lattice(tgt))
     assert check == reference_edge(e, src, tgt)
 
 
@@ -1201,10 +1314,10 @@ def test_check_edge_reuses_the_target_lattice_only_when_no_row_is_new(edge):
     # is, so the target's abelianization answers both tests with no Smith
     # form; one new row, in the lattice or not, takes the Smith form
     e, src, tgt, kind = edge
-    abelian = abelianize_presentation(tgt)
+    lattice = target_lattice(tgt)
     smith = mock.Mock(wraps=groups._smith_divisors)
     with mock.patch.object(groups, "_smith_divisors", smith):
-        check = _check_edge(e.source, e.target, e.images, src, tgt, abelian)
+        check = _check_edge(e.source, e.target, e.images, src, *lattice)
     assert check == reference_edge(e, src, tgt)
     if kind == "new":
         assert smith.call_count >= 1
@@ -1219,7 +1332,7 @@ def test_check_edge_sees_torsion():
     src, tgt = presentation(1, [(1,)]), presentation(1, [(1, 1)])
     for image, mapped in (((1,), False), ((1, 1, 1, 1), True)):
         e = CubeEdge("source", "target", (image,))
-        check = _check_edge(e.source, e.target, e.images, src, tgt, abelianize_presentation(tgt))
+        check = _check_edge(e.source, e.target, e.images, src, *target_lattice(tgt))
         assert check.relators_mapped is mapped
         assert reference_edge(e, src, tgt).relators_mapped is mapped
 
@@ -1407,6 +1520,29 @@ class TestR12:
     def test_budget_20(self, r12):
         q = tietze_simplify(pi1_presentation(r12), 20)
         assert (q.num_generators, len(q.relators), max(map(len, q.relators))) == (8, 18, 3579)
+
+    @pytest.mark.parametrize(
+        "budget, digest",
+        [
+            (20, "461ecb7045a59852a845333cb149e893c8d408c542f6299b448253796bd10aed"),
+            (100, "30a7c511403870733858456ad8b199c47ff1d99ec2a806582ba6afb56a5115a6"),
+            # the trivial group, reached by budget 300
+            (300, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+            (10_000, "3c4eb530c08add6655edeae90c1b9dc06cf9014c2912a64ac5a72eac7682e8b4"),
+        ],
+    )
+    def test_reduced_presentations_pinned(self, budget, digest):
+        # the SHA-256 of `trisect pi1 r12.tri --simplify BUDGET`, as the loop
+        # gave it before the failed-pair memo and the list-based kill closure
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["pi1", str(FIXTURES / "r12.tri"), "--simplify", str(budget)]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    def test_shortening_skips_pairs_that_failed_while_both_stay(self, r12):
+        # 12 shortening moves by budget 30; without the memo, its 519
+        # _shorten calls went to 256 distinct pairs
+        assert assert_no_failed_pair_retried(pi1_presentation(r12), 30) == 12
 
     def test_mutant_simplify_budget_50_is_bounded(self):
         # r12.tri less words 2 and 1,230 of its alpha line, counting "alpha"
