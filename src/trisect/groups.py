@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, filterfalse, permutations
+from itertools import chain, filterfalse, permutations
 
 from .diagrams import FAMILY_NAMES, TrisectionDiagram
 from .intmatrix import _free_and_torsion, _smith_divisors
@@ -161,7 +161,14 @@ def pi1_presentation(d: TrisectionDiagram) -> Presentation:
 
 def abelianize_presentation(p: Presentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion divisors) of the abelianized group."""
-    return _free_and_torsion(p.num_generators, _smith_divisors(_exponent_rows(p.relators)))
+    return _lattice(p)[1]
+
+
+def _lattice(p: Presentation) -> tuple[tuple, tuple[int, tuple[int, ...]]]:
+    """The exponent rows of p's relators, which span its relator lattice,
+    and the abelianization ``Z^n`` modulo them."""
+    rows = _exponent_rows(p.relators)
+    return rows, _free_and_torsion(p.num_generators, _smith_divisors(rows))
 
 
 def _canonical_rotation(w: Word) -> Word:
@@ -239,15 +246,6 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
     only the relators that hold a killed letter, and drops a killed
     generator's one-letter relator without reducing it.  The list is made
     distinct before its relators are canonicalized, as a set would be.
-
-    Each relator in the set has an id that it keeps while it stays, and the
-    search for a shortening skips each pair (u, v) of ids that has already
-    failed.  That is exact: ``_shorten`` is a pure function of (u, v), so a
-    failed pair fails again while both stay, and each step takes the first
-    success in its order, which skipping failures does not change.  A pair
-    is dropped when either relator leaves, so the memo holds at most one
-    entry per pair of relators in the set, and a lookup costs no hashing of
-    words.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -271,20 +269,11 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
                 if len(w) == 1:
                     ones.add(abs(w[0]))
         rels = kept
-    ids = count()
-    rels = dict(zip({_canonical_rotation(w) for w in set(rels)}, ids))
-    failed: dict[int, set[int]] = {}  # by the id of u, the ids of the v that failed to shorten it
-
-    def leave(w):  # w leaves the set, and each failed pair that it is in with it
-        i = rels.pop(w)
-        failed.pop(i, None)
-        for tried in failed.values():
-            tried.discard(i)
-
+    rels = {_canonical_rotation(w) for w in set(rels)}
     for _ in range(budget - len(eliminated)):
-        order = sorted(rels.items(), key=lambda wi: (len(wi[0]), wi[0]))
+        order = sorted(rels, key=lambda w: (len(w), w))
         target = None
-        for r, _ in order:
+        for r in order:
             counts: dict[int, int] = {}
             for t in r:
                 counts[abs(t)] = counts.get(abs(t), 0) + 1
@@ -294,35 +283,28 @@ def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_BUDGET) -> Pre
                 break
         if target is not None:
             r, gen = target
-            leave(r)
+            rels.remove(r)
             pos = next(idx for idx, t in enumerate(r) if abs(t) == gen)
             r = r[pos:] + r[:pos]
             head, tail = r[0], r[1:]
             rep = invert_word(tail) if head > 0 else tail
             image = {gen: rep, -gen: invert_word(rep)}
-            changed = [w for w in rels if gen in w or -gen in w]
-            for w in changed:
-                leave(w)
-            for w in changed:
-                if w := _canonical_rotation(cyclic_reduce([x for t in w for x in image.get(t, (t,))])):
-                    rels.setdefault(w, next(ids))
+            rels = {
+                _canonical_rotation(cyclic_reduce([x for t in w for x in image.get(t, (t,))]))
+                if gen in w or -gen in w
+                else w
+                for w in rels
+            }
+            rels.discard(())
             eliminated.add(gen)
             continue
-        cand = None
-        for u, i in order:
-            tried = failed.setdefault(i, set())
-            for v, j in order:
-                if j != i and j not in tried:
-                    if (cand := _shorten(u, v)) is not None:
-                        break
-                    tried.add(j)
-            if cand is not None:
-                break
-        if cand is None:
+        pairs = ((u, _shorten(u, v)) for u in order for v in order if u != v)
+        u, cand = next(((u, c) for u, c in pairs if c is not None), (None, None))
+        if u is None:
             break
-        leave(u)
-        if cand := _canonical_rotation(cand):
-            rels.setdefault(cand, next(ids))
+        rels.remove(u)
+        rels.add(_canonical_rotation(cand))
+        rels.discard(())
     # numbering the survivors in order is monotone and commutes with
     # inversion, so it keeps each relator canonical and the order sorted
     survivors = [g for g in range(1, p.num_generators + 1) if g not in eliminated]
@@ -533,21 +515,22 @@ class CubeReport:
 
 
 def _check_edge(
-    source: str, target: str, images: tuple[Word, ...], src: Presentation,
-    nt: int, tgt_rows: tuple, tgt_abelian: tuple[int, tuple[int, ...]],
+    source: str, target: str, images: tuple[Word, ...],
+    src: Presentation, tgt: Presentation, lattice: tuple[tuple, tuple[int, tuple[int, ...]]],
 ) -> EdgeCheck:
     """Surjectivity and relator check of the map ``source -> target`` with
     generator images ``images`` against its target's lattice.
 
-    The target has ``nt`` generators, and its relator lattice L is spanned
-    by its exponent rows ``tgt_rows``, which the caller builds once per
-    vertex and also abelianizes to ``tgt_abelian``.  Each test adds rows to
-    L and compares Z^n/L' with ``tgt_abelian``.  A zero row, or a copy of a
-    target relator row, leaves L' = L, so when every added row is of that
-    kind the answer is ``tgt_abelian`` and no Smith form is taken.  Each
-    image is inverted once, not once per inverse letter of the source
-    relators.
+    ``lattice`` is ``_lattice(tgt)``: the exponent rows that span the
+    target's relator lattice L and its abelianization, which the caller
+    builds once per vertex.  Each test adds rows to L and compares Z^n/L'
+    with that abelianization.  A zero row, or a copy of a target relator
+    row, leaves L' = L, so when every added row is of that kind the answer
+    is that abelianization and no Smith form is taken.  Each image is
+    inverted once, not once per inverse letter of the source relators.
     """
+    nt = tgt.num_generators
+    tgt_rows, tgt_abelian = lattice
     in_lattice = {(), *tgt_rows}
 
     def quotient(extra):
@@ -663,20 +646,17 @@ def verify_cube(cube: GroupTrisectionCube, budget: int = DEFAULT_TIETZE_BUDGET) 
     relators = {name: set(p.relators) for name, p in v.items()}
     # memos: each vertex's lattice (its exponent rows and their
     # abelianization) and Tietze form at most once, and only when needed
-    # (a Tietze form is a Presentation, so never falsy)
+    # (a result is a nonempty tuple or a Presentation, so never falsy)
     lattices: dict[str, tuple[tuple, tuple[int, tuple[int, ...]]]] = {}
     reduced: dict[str, Presentation] = {}
 
     def lattice_of(name):
-        if name not in lattices:
-            rows = _exponent_rows(v[name].relators)
-            lattices[name] = rows, _free_and_torsion(v[name].num_generators, _smith_divisors(rows))
-        return lattices[name]
+        return lattices.get(name) or lattices.setdefault(name, _lattice(v[name]))
 
     edge_checks = tuple(  # the table's keys are the edges, in the cube's order
         EdgeCheck(s, t, "exact", True)
         if (s, t) in identities and relators[s] <= relators[t]
-        else _check_edge(s, t, images[s, t], v[s], v[t].num_generators, *lattice_of(t))
+        else _check_edge(s, t, images[s, t], v[s], v[t], lattice_of(t))
         for s, t in images
     )
     face_checks = []

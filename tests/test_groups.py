@@ -40,6 +40,7 @@ from trisect.groups import (
     Presentation,
     _check_edge,
     _curve_relator,
+    _lattice,
     _pushout_presentation,
     abelianize_presentation,
     build_cube,
@@ -61,7 +62,7 @@ from trisect.invariants import (
     poincare_candidate_check,
 )
 from trisect.textio import parse, serialize
-from trisect.words import _exponent_rows, block_index, cyclic_reduce, invert_word
+from trisect.words import block_index, cyclic_reduce, invert_word
 
 
 def rel(*texts):
@@ -275,37 +276,6 @@ def reference_tietze(p, budget):
         rels = _normalize_relators(rels)
         steps += 1
     return n, tuple(rels), tuple(names)
-
-
-def assert_no_failed_pair_retried(p, budget):
-    """Run ``tietze_simplify(p, budget)`` and check that ``_shorten`` sees a
-    pair (u, v) again only after u or v has re-entered the relator set.  A
-    relator enters the set only as a ``_canonical_rotation`` result, so a
-    repeat with neither made in between is a pair retried while both
-    stayed.  Returns the number of shortening moves."""
-    events = []
-
-    def shorten(u, v, _fn=groups._shorten):
-        events.append(("pair", (u, v), cand := _fn(u, v)))
-        return cand
-
-    def rotation(w, _fn=groups._canonical_rotation):
-        events.append(("made", w := _fn(w), None))
-        return w
-
-    with mock.patch.object(groups, "_shorten", shorten), mock.patch.object(
-        groups, "_canonical_rotation", rotation
-    ):
-        tietze_simplify(p, budget)
-    tried, made = {}, {}
-    for k, (kind, key, cand) in enumerate(events):
-        if kind == "made":
-            made[key] = k
-            continue
-        if key in tried:
-            assert max(made.get(key[0], -1), made.get(key[1], -1)) > tried[key], key
-        tried[key] = k
-    return sum(cand is not None for kind, _, cand in events if kind == "pair")
 
 
 class TestPresentation:
@@ -587,8 +557,14 @@ class TestTietze:
         assert sum(len(r) for r in out.relators) < 7
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(presentations(), shortening_presentations()), st.sampled_from((0, 1, 5, 1000)))
+    @given(presentations(), st.sampled_from((0, 1, 5, 1000)))
     def test_matches_reference_loop(self, p, budget):
+        q = tietze_simplify(p, budget)
+        assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shortening_presentations(), st.sampled_from((1, 2, 5, 1000)))
+    def test_matches_reference_loop_over_several_shortenings(self, p, budget):
         q = tietze_simplify(p, budget)
         assert (q.num_generators, q.relators, q.names) == reference_tietze(p, budget)
 
@@ -655,19 +631,20 @@ class TestTietze:
                 q = tietze_simplify(p, budget)
                 assert calls["rotation"] <= len(q.relators), budget
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(shortening_presentations(), presentations()), st.sampled_from((1, 5, 1000)))
-    def test_shortening_skips_pairs_that_failed_while_both_stay(self, p, budget):
-        assert_no_failed_pair_retried(p, budget) <= budget
-
     def test_shortening_presentations_take_several_moves(self):
-        # c = (x2 x1)^-1: the square c c shortens both longer words, and
-        # three moves in all leave pairs that failed in the first step to
-        # the later ones
+        # c = (x2 x1)^-1: the square c c shortens both longer words, in
+        # three moves in all
         c = [-1, -2]
         p = presentation(2, [c + c, c + c + [2, 2], c + c + [-1, -1]])
-        assert assert_no_failed_pair_retried(p, 1000) == 3
-        q = tietze_simplify(p, 1000)
+        found = []
+
+        def shorten(u, v, _fn=groups._shorten):
+            found.append(cand := _fn(u, v))
+            return cand
+
+        with mock.patch.object(groups, "_shorten", shorten):
+            q = tietze_simplify(p, 1000)
+        assert sum(cand is not None for cand in found) == 3
         assert (q.num_generators, q.relators, q.names) == reference_tietze(p, 1000)
 
     def test_closure_drops_killed_one_letter_relators_unreduced(self, monkeypatch):
@@ -1236,12 +1213,6 @@ def reference_edge(e, src, tgt):
     return EdgeCheck(e.source, e.target, surjectivity, mapped)
 
 
-def target_lattice(tgt):
-    """The target's arguments to ``_check_edge``: its generator count, its
-    exponent rows and their abelianization."""
-    return tgt.num_generators, _exponent_rows(tgt.relators), abelianize_presentation(tgt)
-
-
 @st.composite
 def random_edges(draw):
     """A map from a random presentation on at most three generators, with
@@ -1264,7 +1235,7 @@ def test_check_edge_matches_membership_oracle(edge):
     # mapped by comparing the invariants of the target's abelianization with
     # those of its quotient by the images, against membership row by row
     e, src, tgt = edge
-    check = _check_edge(e.source, e.target, e.images, src, *target_lattice(tgt))
+    check = _check_edge(e.source, e.target, e.images, src, tgt, _lattice(tgt))
     assert check == reference_edge(e, src, tgt)
 
 
@@ -1314,10 +1285,10 @@ def test_check_edge_reuses_the_target_lattice_only_when_no_row_is_new(edge):
     # is, so the target's abelianization answers both tests with no Smith
     # form; one new row, in the lattice or not, takes the Smith form
     e, src, tgt, kind = edge
-    lattice = target_lattice(tgt)
+    lattice = _lattice(tgt)
     smith = mock.Mock(wraps=groups._smith_divisors)
     with mock.patch.object(groups, "_smith_divisors", smith):
-        check = _check_edge(e.source, e.target, e.images, src, *lattice)
+        check = _check_edge(e.source, e.target, e.images, src, tgt, lattice)
     assert check == reference_edge(e, src, tgt)
     if kind == "new":
         assert smith.call_count >= 1
@@ -1332,7 +1303,7 @@ def test_check_edge_sees_torsion():
     src, tgt = presentation(1, [(1,)]), presentation(1, [(1, 1)])
     for image, mapped in (((1,), False), ((1, 1, 1, 1), True)):
         e = CubeEdge("source", "target", (image,))
-        check = _check_edge(e.source, e.target, e.images, src, *target_lattice(tgt))
+        check = _check_edge(e.source, e.target, e.images, src, tgt, _lattice(tgt))
         assert check.relators_mapped is mapped
         assert reference_edge(e, src, tgt).relators_mapped is mapped
 
@@ -1533,16 +1504,11 @@ class TestR12:
     )
     def test_reduced_presentations_pinned(self, budget, digest):
         # the SHA-256 of `trisect pi1 r12.tri --simplify BUDGET`, as the loop
-        # gave it before the failed-pair memo and the list-based kill closure
+        # gave it before the list-based kill closure
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["pi1", str(FIXTURES / "r12.tri"), "--simplify", str(budget)]) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
-
-    def test_shortening_skips_pairs_that_failed_while_both_stay(self, r12):
-        # 12 shortening moves by budget 30; without the memo, its 519
-        # _shorten calls went to 256 distinct pairs
-        assert assert_no_failed_pair_retried(pi1_presentation(r12), 30) == 12
 
     def test_mutant_simplify_budget_50_is_bounded(self):
         # r12.tri less words 2 and 1,230 of its alpha line, counting "alpha"
