@@ -1,11 +1,13 @@
 """In-process tests of ``cli.main``: what a subprocess cannot show (which
-functions a command called) or would make too slow (fuzzing)."""
+functions a command called) or would make too slow (fuzzing), and the CLI's
+byte-for-byte pins."""
 
 import ast
 import contextlib
 import hashlib
 import io
 import random
+import shlex
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -299,6 +301,99 @@ def test_fixture_reports_pinned(stem):
             code = cli.main([command[0], str(FIXTURES / f"{stem}.tri"), *command[1:]])
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert (code, digest) == FIXTURE_REPORTS[stem][name], name
+
+
+def lines(*texts):
+    """Each text with a newline after it, as ``printf '%s\\n'`` prints them."""
+    return "".join(f"{text}\n" for text in texts)
+
+
+MOVED = (
+    "stabilize tests/fixtures/s2xs2.tri --family gamma"
+    " | slide - --family beta --curve 3 --over 1 --conj 'a2 B1' --sign -1"
+)
+NONNEGATIVE = lines("error: budget must be nonnegative")
+# the exact exit code, stdout and stderr of CLI pipelines that no digest
+# above pins: (pipeline, stdin of its first step, code, stdout, stderr)
+CLI_PINS = {
+    # b1 = 1 with a form of size 1: both blocks of the form's kernel are used
+    "sum_with_b1": ("connect-sum tests/fixtures/s1xs3.tri tests/fixtures/cp2.tri | invariants -", "", 0,
+                    lines("genus: 2", "k_alpha_beta: 1", "k_beta_gamma: 1", "k_gamma_alpha: 1", "euler: 1",
+                          "H0: Z", "H1: Z", "H2: Z", "H3: Z", "H4: Z",
+                          "form_rank: 1", "form_signature: 1", "form_parity: odd"), ""),
+    # moves act on words alone: the moved text, its report and a summed form
+    "moved": (MOVED, "", 0, lines("trisection", "genus 3", "alpha a1 | a2 | a3", "beta b1 | b2 | a3 a2 B1 A2",
+                                  "gamma a1 b2 | a2 b1 | b3"), ""),
+    "moved_invariants": (f"{MOVED} | invariants -", "", 0,
+                         lines("genus: 3", "k_alpha_beta: 1", "k_beta_gamma: 0", "k_gamma_alpha: 0", "euler: 4",
+                               "H0: Z", "H1: 0", "H2: Z^2", "H3: 0", "H4: Z",
+                               "form_rank: 2", "form_signature: 0", "form_parity: even"), ""),
+    "moved_sum_form": (f"{MOVED} | connect-sum tests/fixtures/cp2.tri - | form -", "", 0,
+                       lines("size: 3", "row: 1 0 0", "row: 0 1 0", "row: 0 0 -1"), ""),
+    # Tietze budgets below the presentation's 4 generators kill one per step,
+    # largest first; budget 4 kills the one-letter closure in bulk
+    "pi1_budget_1": ("pi1 tests/fixtures/s2xs2.tri --simplify 1", "", 0,
+                     lines("generators: 3", "names: a1 a2 b1", "relators: 5", "relator: B1", "relator: A2",
+                           "relator: A1", "relator: B1 A2", "relator: B1 A1 b1 a1", "abelianization: 0"), ""),
+    "pi1_budget_3": ("pi1 tests/fixtures/s2xs2.tri --simplify 3", "", 0,
+                     lines("generators: 1", "names: a1", "relators: 1", "relator: A1", "abelianization: 0"), ""),
+    "pi1_budget_4": ("pi1 tests/fixtures/s2xs2.tri --simplify 4", "", 0,
+                     lines("generators: 0", "relators: 0", "abelianization: 0"), ""),
+    # a pair rank with torsion is refused, naming the pair
+    "nonstandard_pair": ("invariants tests/fixtures/nonstandard_pair.tri", "", 1, lines("genus: 1"),
+                         lines("error: stacked curve span has torsion [2] for pair alpha_beta")),
+    # validate's refusals: the imprimitive span's divisor 2 is the sparse
+    # divisor routine's non-unit remainder, and an out-of-range letter is a
+    # failed lookup in the genus's letter table
+    "validate_imprimitive": ("validate tests/fixtures/invalid_imprimitive.tri", "", 1, "",
+                             lines("error: alpha: homology span is not a primitive rank-1 sublattice "
+                                   "(quotient has free rank 1, torsion [2])")),
+    "validate_letter_out_of_range": (
+        "validate -", lines("trisection", "genus 2", "alpha a1 | a2", "beta b1 | a3 b2", "gamma a1 b1 | a2"), 1, "",
+        lines("error: beta: token index 3 exceeds genus 2")),
+    "validate_intersecting_curves": (
+        "validate -", lines("trisection", "genus 2", "alpha a1 | a2", "beta b1 | b2", "gamma a1 | b1"), 1, "",
+        lines("error: gamma: curves 1 and 2 have intersection number 1")),
+    # every map of a built cube is an identity that the syntactic rule
+    # settles as an exact surjection, so budget 0 verifies every face
+    "cube_verify_budget_0": ("cube tests/fixtures/cp2.tri --verify 0", "", 0, lines(
+        "map surface -> handlebody_alpha: exact", "map surface -> handlebody_beta: exact",
+        "map surface -> handlebody_gamma: exact", "map handlebody_alpha -> sector_alpha_beta: exact",
+        "map handlebody_beta -> sector_alpha_beta: exact", "map handlebody_beta -> sector_beta_gamma: exact",
+        "map handlebody_gamma -> sector_beta_gamma: exact", "map handlebody_gamma -> sector_gamma_alpha: exact",
+        "map handlebody_alpha -> sector_gamma_alpha: exact", "map sector_alpha_beta -> total: exact",
+        "map sector_beta_gamma -> total: exact", "map sector_gamma_alpha -> total: exact",
+        "face surface,handlebody_alpha,handlebody_beta,sector_alpha_beta: Verified",
+        "face surface,handlebody_beta,handlebody_gamma,sector_beta_gamma: Verified",
+        "face surface,handlebody_gamma,handlebody_alpha,sector_gamma_alpha: Verified",
+        "face handlebody_alpha,sector_alpha_beta,sector_gamma_alpha,total: Verified",
+        "face handlebody_beta,sector_beta_gamma,sector_alpha_beta,total: Verified",
+        "face handlebody_gamma,sector_gamma_alpha,sector_beta_gamma,total: Verified", "verdict: ok"), ""),
+    # a negative Tietze budget is a usage error, never a traceback
+    "pi1_negative_budget": ("pi1 tests/fixtures/cp2.tri --simplify -1", "", 2, "", NONNEGATIVE),
+    "homcount_negative_budget": ("homcount tests/fixtures/cp2.tri --target s3 --simplify -1", "", 2, "", NONNEGATIVE),
+    "poincare_negative_budget": ("poincare-check tests/fixtures/cp2.tri --budget -1", "", 2, "", NONNEGATIVE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_pins(name, monkeypatch):
+    # each step runs in process with the previous step's stdout as its stdin,
+    # as a shell pipes them; every step before the last exits 0 with no stderr
+    pipeline, out, *expected = CLI_PINS[name]
+    monkeypatch.chdir(FIXTURES.parent.parent)  # the paths are relative to the repository root
+    code, err = 0, ""
+    for step in pipeline.split(" | "):
+        assert (code, err) == (0, ""), f"the step before {step}"
+        out_io, err_io = io.StringIO(), io.StringIO()
+        with (
+            mock.patch("sys.stdin", io.StringIO(out)),
+            contextlib.redirect_stdout(out_io),
+            contextlib.redirect_stderr(err_io),
+        ):
+            code = cli.main(shlex.split(step))
+        out, err = out_io.getvalue(), err_io.getvalue()
+    assert (code, out, err) == tuple(expected)
 
 
 # r12 is left out: its mutants reach the same checks as the small fixtures,

@@ -1430,6 +1430,16 @@ def test_presentations_built_unchecked_pass_the_public_check(d):
     assert_cube_trusted(unreduced_images(corrupt_sector(cube, "sector_beta_gamma")))
 
 
+def test_raw_population_counts_match_raw_pi1_and_presentations_pass_the_public_check(raw_population):
+    # raw enumeration over 2g generators stays cheap up to genus 2
+    for d in raw_population:
+        if d.genus <= 2:
+            assert count_homs(pi1_presentation(d), 3) == diagram_hom_count(d, 3), serialize(d)
+    for d in raw_population[::5]:
+        assert_trusted(pi1_presentation(d))
+        assert_cube_trusted(build_cube(d))
+
+
 def unreduced_images(cube):
     """``cube`` with every image w written w w^-1 w, except that the
     surface's first generator goes to w w^-1, so the faces' identification
@@ -1531,3 +1541,8 @@ class TestR12:
         start = time.perf_counter()
         assert poincare_candidate_check(r12).verdict == VERDICT_TRIVIAL_PI1
         assert time.perf_counter() - start < 30
+
+    def test_homcount_s5_at_default_budget(self, r12):
+        # the count `trisect homcount r12.tri --target s5` prints, from the
+        # trivial group that the check above reduced this diagram's pi1 to
+        assert diagram_hom_count(r12, 5) == 1

@@ -524,6 +524,16 @@ def test_raw_population_caches_agree_in_either_order_and_h1_is_abelianized_pi1(r
         assert groups.abelianize_presentation(groups.pi1_presentation(d)) == h[1], text
 
 
+def test_raw_population_family_rotation(raw_population):
+    # rotating the families shifts the k-triple and changes no invariant
+    for d in raw_population:
+        rotated = TrisectionDiagram(d.genus, d.beta, d.gamma, d.alpha)
+        k = k_triple(d)
+        assert k_triple(rotated) == (k[1], k[2], k[0]), serialize(d)
+        assert homology(rotated) == homology(d), serialize(d)
+        assert diagram_form_invariants(rotated) == diagram_form_invariants(d), serialize(d)
+
+
 class TestFormRuntimeChecks:
     # each runtime check of intersection_form refuses a forged pairing or b2
     def slid_sum(self):
